@@ -13,7 +13,7 @@ the child's collapsed degree for that prize (min-plus composition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .degrees import Degree, INF, check_degree, check_degrees, normalize_degrees
@@ -129,42 +129,65 @@ class Node:
 
     Branches with INF degree are allowed (they are absorbed by the min),
     children may have unequal depths, and a child need not mention every
-    prize; all children must draw from the same prize set.
+    prize; all children must draw from the same prize set, stored once.
     """
 
     branches: tuple[tuple[Degree, "Lottery"], ...]
+    prizes: PrizeSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple((d, c) for d, c in self.branches))
         if not self.branches:
             raise EmptyBranches("a lottery node needs at least one branch")
         for d, child in self.branches:
-            check_degree(d)
+            if type(d) is not int or d < 0:  # plain ints need no further check
+                check_degree(d)
             if not isinstance(child, (Leaf, Node)):
                 raise TypeError(f"branch child must be a lottery, got {child!r}")
         first = self.branches[0][1].prizes
-        for _, child in self.branches[1:]:
-            if child.prizes != first:
+        for _, child in self.branches:
+            if child.prizes is not first and child.prizes != first:
                 raise PrizeSetMismatch("branches draw prizes from different prize sets")
         low = min(d for d, _ in self.branches)
         if low != 0:
             raise NotNormalized(f"S1 violated: minimum branch delta is {low}, expected 0")
-
-    @property
-    def prizes(self) -> PrizeSet:
-        return self.branches[0][1].prizes
+        object.__setattr__(self, "prizes", first)
 
     def depth(self) -> int:
-        return 1 + max(child.depth() for _, child in self.branches)
+        """Nodes on the longest root-to-leaf path, counted level by level."""
+        levels, frontier = 0, [self]
+        while frontier:
+            levels += 1
+            frontier = list({id(c): c for node in frontier for _, c in node.branches
+                             if isinstance(c, Node)}.values())
+        return levels
 
     def reduce(self) -> SimpleLottery:
-        """Collapse to a simple lottery by min-plus composition, bottom-up."""
-        collapsed = [(d, child.reduce()) for d, child in self.branches]
-        deltas = tuple(
-            min(d + sub.deltas[j] for d, sub in collapsed)
-            for j in range(len(self.prizes))
-        )
-        return SimpleLottery(self.prizes, deltas)
+        """Collapse to a simple lottery by min-plus composition, bottom-up.
+
+        Post-order over an explicit stack; results are keyed by id, so a
+        subtree shared by several branches is walked once per call.
+        """
+        index = {p: j for j, p in enumerate(self.prizes)}
+        done: dict[int, list[Degree]] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            pending = [c for _, c in node.branches if isinstance(c, Node) and id(c) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            acc = [INF] * len(index)
+            for d, child in node.branches:
+                if isinstance(child, Node):
+                    acc = [a if a <= (t := d + s) else t for a, s in zip(acc, done[id(child)])]
+                elif d < acc[j := index[child.prize]]:
+                    acc[j] = d
+            if min(acc) != 0:
+                raise NotNormalized(f"S1 violated: minimum delta is {min(acc)}, expected 0")
+            done[id(node)] = acc
+        return SimpleLottery(self.prizes, tuple(done[id(self)]))
 
 
 Lottery = Union[Leaf, Node]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .decision import DecisionProblem
-from .degrees import Degree, INF, Signed
+from .degrees import Degree, INF, format_signed
 from .disbelief import DisbeliefFunction, Frame
 from .errors import KappaCalcError, ParseError
 from .lottery import Leaf, Lottery, Node, PrizeSet, SimpleLottery
@@ -86,24 +86,6 @@ def degree_to_json(value: Degree) -> Any:
     return "inf" if value == INF else int(value)
 
 
-def signed_from_json(value: Any, where: str) -> Signed:
-    if value in ("inf", "+inf"):
-        return INF
-    if value == "-inf":
-        return -INF
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ParseError(f"{where}: expected an integer, \"+inf\", or \"-inf\", got {value!r}")
-
-
-def signed_to_json(value: Signed) -> Any:
-    if value == INF:
-        return "+inf"
-    if value == -INF:
-        return "-inf"
-    return int(value)
-
-
 def _real_list(value: Any, where: str) -> list[float]:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of numbers")
@@ -134,25 +116,50 @@ def _parse_assessment(section: Any, prizes: PrizeSet) -> PrizeAssessment:
     return PrizeAssessment.from_map(prizes, mapping)
 
 
-def _parse_lottery(section: Any, prizes: PrizeSet, where: str = "lottery") -> Lottery:
-    if isinstance(section, str):
-        return Leaf(section, prizes)
-    if isinstance(section, list):
-        branches = []
-        for i, entry in enumerate(section):
-            spot = f"{where}[{i}]"
+def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
+    """Build a tree without recursion, with one shared Leaf per prize label.
+
+    A frame is (entries, index of the entry being built, branches, its
+    degree); error locations are spelled out from the frames only on error.
+    """
+    if not isinstance(section, list):
+        if isinstance(section, str):
+            return Leaf(section, prizes)
+        raise ParseError("lottery: expected a prize name or a list of branches")
+    leaves: dict[str, Leaf] = {}
+    stack: list[tuple[list, int, list, Degree]] = []
+
+    def spot(i: int) -> str:
+        return "lottery" + "".join(f"[{f[1]}].child" for f in stack) + f"[{i}]"
+
+    entries, start, branches = section, 0, []
+    while True:
+        for i in range(start, len(entries)):
+            entry = entries[i]
             if not isinstance(entry, dict):
-                raise ParseError(f"{spot}: expected an object with delta and child")
-            extra = set(entry) - {"delta", "child"}
-            if extra:
-                raise ParseError(f"{spot}: unknown keys {sorted(extra)!r}")
-            if "delta" not in entry or "child" not in entry:
-                raise ParseError(f"{spot}: needs both delta and child")
-            delta = degree_from_json(entry["delta"], f"{spot}.delta")
-            child = _parse_lottery(entry["child"], prizes, f"{spot}.child")
-            branches.append((delta, child))
-        return Node(tuple(branches))
-    raise ParseError(f"{where}: expected a prize name or a list of branches")
+                raise ParseError(f"{spot(i)}: expected an object with delta and child")
+            if len(entry) != 2 or "delta" not in entry or "child" not in entry:
+                extra = sorted(set(entry) - {"delta", "child"})
+                raise ParseError(f"{spot(i)}: unknown keys {extra!r}" if extra
+                                 else f"{spot(i)}: needs both delta and child")
+            delta, child = entry["delta"], entry["child"]
+            if type(delta) is not int or delta < 0:
+                delta = INF if delta == "inf" else degree_from_json(delta, f"{spot(i)}.delta")
+            if isinstance(child, list):
+                stack.append((entries, i, branches, delta))
+                entries, start, branches = child, 0, []
+                break
+            if not isinstance(child, str):
+                raise ParseError(f"{spot(i)}.child: expected a prize name or a list of branches")
+            leaf = leaves.get(child) or leaves.setdefault(child, Leaf(child, prizes))
+            branches.append((delta, leaf))
+        else:
+            node = Node(tuple(branches))
+            if not stack:
+                return node
+            entries, i, branches, delta = stack.pop()
+            branches.append((delta, node))
+            start = i + 1
 
 
 def _parse_decision(
@@ -292,9 +299,10 @@ def parse_simple_lottery(doc: dict) -> SimpleLottery:
 
 
 def emit_utility_value(value: UtilityValue) -> dict:
+    scalar = scalar_utility(value)
     return {
         "value": [degree_to_json(value.toward_best), degree_to_json(value.toward_worst)],
-        "scalar": signed_to_json(scalar_utility(value)),
+        "scalar": format_signed(scalar) if abs(scalar) == INF else int(scalar),
     }
 
 

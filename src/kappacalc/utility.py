@@ -27,7 +27,7 @@ from .errors import (
     NotNormalized,
     UnassessedPrize,
 )
-from .lottery import Leaf, Lottery, Node, PrizeSet, SimpleLottery
+from .lottery import Lottery, PrizeSet, SimpleLottery
 
 
 @dataclass(frozen=True)
@@ -181,24 +181,17 @@ class PrizeAssessment:
 def evaluate(lottery: Lottery | SimpleLottery, assessment: PrizeAssessment) -> UtilityValue:
     """Qualitative expected utility of a lottery under an assessment.
 
-    Leaves take their assessed value; a node takes the componentwise
-    minimum over branches of branch degree plus child utility.  The result
-    is converted back to a scale value at the end, which asserts closure.
+    Each prize's assessed value is shifted by the prize's degree and the
+    results are minimized componentwise.  Addition distributes over min, so
+    a tree is first reduced to its simple lottery and then valued flat.
+    The minimum is converted back to a scale value, which asserts closure.
     """
     if lottery.prizes != assessment.prizes:
         raise UnassessedPrize("the assessment does not cover this lottery's prize set")
-    return _evaluate(lottery, assessment).to_value()
-
-
-def _evaluate(lottery: Lottery | SimpleLottery, assessment: PrizeAssessment) -> UtilityVector:
-    if isinstance(lottery, Leaf):
-        return assessment.value_of(lottery.prize)
-    if isinstance(lottery, SimpleLottery):
-        return min_vectors(
-            [add_scalar(d, v) for d, v in zip(lottery.deltas, assessment.values)]
-        )
-    return min_vectors(
-        [add_scalar(d, _evaluate(child, assessment)) for d, child in lottery.branches]
+    deltas = lottery.reduce().deltas
+    return UtilityValue(
+        min(d + v.toward_best for d, v in zip(deltas, assessment.values)),
+        min(d + v.toward_worst for d, v in zip(deltas, assessment.values)),
     )
 
 

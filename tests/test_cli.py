@@ -1,10 +1,12 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
 
 from kappacalc import cli
 
-from conftest import DATA, PROBLEMS
+from conftest import DATA, PROBLEMS, REPO
 
 
 def run(*argv, capsys=None):
@@ -209,10 +211,25 @@ class TestEntryPoints:
         assert proc.stdout == "(1, 0)  u = -1\n"
 
     def test_console_script(self):
-        proc = subprocess.run(
-            ["kappacalc", "reduce", path("depth2_tree.json")],
-            capture_output=True,
-            text=True,
-        )
+        """The installed script if there is one, else the declared target.
+
+        Without an install, the `[project.scripts]` entry of pyproject.toml
+        is resolved and run the way the generated script would run it, with
+        the sources on PYTHONPATH.
+        """
+        argv = ["reduce", path("depth2_tree.json")]
+        env = None
+        if shutil.which("kappacalc"):
+            command = ["kappacalc", *argv]
+        else:
+            import tomllib  # Python 3.11+; only needed without an install
+
+            with open(REPO / "pyproject.toml", "rb") as handle:
+                target = tomllib.load(handle)["project"]["scripts"]["kappacalc"]
+            module, func = target.split(":")
+            code = f"import sys; from {module} import {func}; sys.exit({func}())"
+            command = [sys.executable, "-c", code, *argv]
+            env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(command, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout == "o1:4 o2:0 o3:0\n"

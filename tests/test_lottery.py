@@ -4,8 +4,10 @@ from kappacalc import (
     INF,
     Leaf,
     Node,
+    PrizeAssessment,
     PrizeSet,
     SimpleLottery,
+    evaluate,
     make_node,
     prize_lottery,
     simple_node,
@@ -20,7 +22,7 @@ from kappacalc.errors import (
 )
 
 from conftest import random_lottery, random_prizes
-from oracles import path_sum_reduce
+from oracles import path_sum_evaluate, path_sum_reduce
 
 O3 = PrizeSet(("o1", "o2", "o3"))
 
@@ -128,3 +130,44 @@ class TestReduce:
         dead = simple_node(O3, {"o2": 0})
         tree = make_node([(0, Leaf("o1", O3)), (INF, dead)])
         assert tree.reduce().deltas == (0, INF, INF)
+
+
+EQ3 = PrizeAssessment.from_map(O3, {"o1": (0, INF), "o2": (0, 2), "o3": (INF, 0)})
+
+
+class TestDeepAndSharedTrees:
+    def test_chain_of_depth_100000(self):
+        # every level is (0, deeper) and (1, o3), the deeper child first
+        tree = Leaf("o1", O3)
+        for _ in range(100_000):
+            tree = make_node([(0, tree), (1, Leaf("o3", O3))])
+        assert tree.reduce().deltas == (0, INF, 1)
+        assert evaluate(tree, EQ3).pair() == (0, 1)
+        assert tree.depth() == 100_000
+
+    def test_shared_subtrees_match_path_oracles(self, rng):
+        shared = simple_node(O3, {"o2": 0, "o3": 3})
+        mid = make_node([(0, shared), (2, Leaf("o1", O3))])
+        tree = make_node([(1, shared), (0, mid), (4, make_node([(0, mid), (2, shared)]))])
+        assert tree.reduce() == path_sum_reduce(tree)
+        assert evaluate(tree, EQ3).pair() == path_sum_evaluate(tree, EQ3).pair()
+        assert tree.depth() == 4
+        for _ in range(100):
+            # each new node picks its children from every node built so far
+            pool = [random_lottery(rng, O3, depth=2, max_branch=3) for _ in range(3)]
+            for _ in range(8):
+                n = rng.randint(1, 3)
+                deltas = [0] + [rng.choice([0, 1, 4, INF]) for _ in range(n - 1)]
+                pool.append(make_node(zip(deltas, rng.sample(pool, n))))
+            dag = pool[-1]
+            assert dag.reduce() == path_sum_reduce(dag)
+            assert evaluate(dag, EQ3).pair() == path_sum_evaluate(dag, EQ3).pair()
+
+    def test_shared_subtree_is_walked_once(self):
+        # 2**60 root-to-leaf paths over 61 distinct nodes
+        tree = simple_node(O3, {"o1": 0, "o3": 5})
+        for _ in range(60):
+            tree = make_node([(0, tree), (3, tree)])
+        assert tree.reduce().deltas == (0, INF, 5)
+        assert evaluate(tree, EQ3).pair() == (0, 5)
+        assert tree.depth() == 61

@@ -115,6 +115,68 @@ class TestParsing:
             parse_problem(data_text("bad_unnormalized.json"))
 
 
+class TestNestedErrorMessages:
+    """Defects deep in a lottery tree are reported with their exact location."""
+
+    @staticmethod
+    def lottery_doc(lottery) -> str:
+        return json.dumps({"prizes": ["o1", "o2", "o3"], "lottery": lottery})
+
+    @pytest.mark.parametrize(
+        "lottery, message",
+        [
+            (
+                [{"delta": 0, "child": [{"delta": 0, "child": "o1"},
+                                        {"delta": -1, "child": "o2"}]}],
+                'lottery[0].child[1].delta: expected a non-negative integer or "inf", got -1',
+            ),
+            (
+                [{"delta": 0, "child": [{"delta": 0, "child": "o1"},
+                                        {"delta": 1, "child": 7}]}],
+                "lottery[0].child[1].child: expected a prize name or a list of branches",
+            ),
+            (
+                [{"delta": 0, "child": [{"delta": 0, "child": "o1", "x": 1}]}],
+                "lottery[0].child[0]: unknown keys ['x']",
+            ),
+            (
+                [{"delta": 0, "child": [{"delta": 0, "child": [
+                    {"delta": 0, "child": "o1"}, {"delta": 0}]}]}],
+                "lottery[0].child[0].child[1]: needs both delta and child",
+            ),
+            (
+                [{"delta": 0, "child": [{"delta": 0, "child": "o1"}]},
+                 {"delta": "x", "child": "o2"}],
+                "lottery[1].delta: expected a non-negative integer or \"inf\", got 'x'",
+            ),
+        ],
+    )
+    def test_shape_defects(self, lottery, message):
+        with pytest.raises(ParseError) as caught:
+            parse_problem(self.lottery_doc(lottery))
+        assert str(caught.value) == message
+
+    def test_unknown_leaf_at_depth_two(self):
+        from kappacalc.errors import UnknownPrize
+
+        doc = self.lottery_doc([{"delta": 0, "child": [{"delta": 0, "child": "o9"}]}])
+        with pytest.raises(UnknownPrize) as caught:
+            parse_problem(doc)
+        assert str(caught.value) == "prize 'o9' is not in the prize set"
+        assert validate_problem(doc) == [
+            "lottery: UnknownPrize: prize 'o9' is not in the prize set"
+        ]
+
+    def test_unnormalized_inner_node(self):
+        from kappacalc.errors import NotNormalized
+
+        doc = self.lottery_doc([{"delta": 0, "child": [{"delta": 1, "child": "o1"},
+                                                      {"delta": 2, "child": "o2"}]}])
+        with pytest.raises(NotNormalized) as caught:
+            parse_problem(doc)
+        assert str(caught.value) == "S1 violated: minimum branch delta is 1, expected 0"
+
+
 class TestValidateCollection:
     def test_clean_file(self):
         assert validate_problem(problem_text("earthquake.json")) == []
