@@ -142,6 +142,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 text = handle.read()
         except OSError as e:
             raise ParseError(f"cannot read {args.file}: {e.strerror or e}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError(f"cannot read {args.file}: not valid UTF-8 at byte {e.start}") from None
         if args.command == "validate":
             code, output = cmd_validate(text, args.json)
             sys.stdout.write(output)

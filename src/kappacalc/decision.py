@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .degrees import Degree, INF, Signed
@@ -95,9 +97,28 @@ class DecisionProblem:
                     f"outcome row for {act!r} has {len(row)} entries, "
                     f"expected {len(self.states)}"
                 )
-            for prize in row:
-                self.prizes.index(prize)
+            try:
+                known = set(self.prizes).issuperset(row)
+            except TypeError:  # an unhashable label cannot be a prize either
+                known = False
+            if not known:
+                for prize in row:
+                    self.prizes.index(prize)
         return table
+
+    @cached_property
+    def _lotteries(self) -> tuple[SimpleLottery, ...]:
+        """Each act's simple lottery, in act order, from one pass over its row."""
+        lotteries = []
+        for row in self.outcome:
+            low = dict.fromkeys(self.prizes, INF)
+            for prize, v in zip(row, self.belief.potential):
+                if v < low[prize]:
+                    low[prize] = v
+            # S1 on the belief guarantees some state has potential 0, so the
+            # prize it reaches gets delta 0 and no renormalization is needed.
+            lotteries.append(SimpleLottery(self.prizes, tuple(low.values())))
+        return tuple(lotteries)
 
     def prize_for(self, act: str, state: str) -> str:
         return self.outcome[self._act_index(act)][self.states.index(state)]
@@ -112,16 +133,7 @@ class DecisionProblem:
 def act_lottery(problem: DecisionProblem, act: str) -> SimpleLottery:
     """The simple lottery an act induces: per prize, min potential over
     the states that yield it; INF for prizes no state reaches."""
-    row = problem.outcome[problem._act_index(act)]
-    deltas = []
-    for prize in problem.prizes:
-        reached = [
-            v for target, v in zip(row, problem.belief.potential) if target == prize
-        ]
-        deltas.append(min(reached) if reached else INF)
-    # S1 on the belief guarantees some state has potential 0, so the
-    # prize it reaches gets delta 0 and no renormalization is needed.
-    return SimpleLottery(problem.prizes, tuple(deltas))
+    return problem._lotteries[problem._act_index(act)]
 
 
 def rank_acts(problem: DecisionProblem) -> list[tuple[str, UtilityValue]]:
@@ -130,8 +142,8 @@ def rank_acts(problem: DecisionProblem) -> list[tuple[str, UtilityValue]]:
     Sorting is stable, so equally good acts keep their input order.
     """
     ranked = [
-        (act, evaluate(act_lottery(problem, act), problem.assessment))
-        for act in problem.acts
+        (act, evaluate(lottery, problem.assessment))
+        for act, lottery in zip(problem.acts, problem._lotteries)
     ]
     ranked.sort(key=lambda pair: scalar_utility(pair[1]), reverse=True)
     return ranked
@@ -139,15 +151,15 @@ def rank_acts(problem: DecisionProblem) -> list[tuple[str, UtilityValue]]:
 
 def worst_prize_index(lottery: SimpleLottery) -> int:
     """Index of the least preferred prize the lottery can actually yield."""
-    reachable = [i for i, d in enumerate(lottery.deltas) if d != INF]
-    return max(reachable)
+    return max(i for i, d in enumerate(lottery.deltas) if d != INF)
 
 
 def maximin_rank(problem: DecisionProblem) -> list[tuple[str, int]]:
     """Acts ordered by their worst reachable prize, most preferred worst
     first; ties keep input order."""
     ranked = [
-        (act, worst_prize_index(act_lottery(problem, act))) for act in problem.acts
+        (act, worst_prize_index(lottery))
+        for act, lottery in zip(problem.acts, problem._lotteries)
     ]
     ranked.sort(key=lambda pair: pair[1])
     return ranked
@@ -168,11 +180,7 @@ def _delta_vectors(r: int, max_delta: int) -> list[tuple[Degree, ...]]:
     """All normalized delta vectors over r prizes with entries in
     {0..max_delta} or INF."""
     domain = list(range(max_delta + 1)) + [INF]
-    vectors = []
-    for combo in itertools.product(domain, repeat=r):
-        if min(combo) == 0:
-            vectors.append(combo)
-    return vectors
+    return [combo for combo in itertools.product(domain, repeat=r) if min(combo) == 0]
 
 
 def _search_bound() -> Optional[int]:
@@ -238,7 +246,7 @@ def find_maximin_disagreement(
     utility ranking strictly prefers one act and the maximin ranking
     strictly prefers the other; None when the bounded space has no such
     pair.  The KAPPA_SEARCH_BOUND environment variable, when set, caps
-    how many act pairs are examined.
+    the act pairs examined, counted in the exhaustive row-major order.
     """
     if max_prizes < 2 or max_delta < 0:
         raise OutOfRange(
@@ -257,17 +265,26 @@ def find_maximin_disagreement(
         # best prize is pinned to +INF by the assessment rule.
         for tail in itertools.combinations(ladder[1:], r - 1):
             scalars = (INF,) + tail
-            values = [_value_for_scalar(s) for s in scalars]
-            utilities = []
-            for vec in vectors:
-                best = min(d + v.toward_best for d, v in zip(vec, values))
-                worst = min(d + v.toward_worst for d, v in zip(vec, values))
-                utilities.append(worst - best)
-            for ia, vec_a in enumerate(vectors):
-                for ib, vec_b in enumerate(vectors):
-                    if bound is not None and examined >= bound:
-                        return None
-                    examined += 1
-                    if utilities[ia] > utilities[ib] and worsts[ia] > worsts[ib]:
-                        return _problem_from_vectors(r, scalars, vec_a, vec_b)
+            ups, downs = zip(*(_value_for_scalar(s).pair() for s in scalars))
+            utilities = [min(map(add, vec, downs)) - min(map(add, vec, ups)) for vec in vectors]
+            # Vector a has a witness b (lower utility, lower worst index)
+            # exactly when below[worst a], the least utility among vectors
+            # with a lower worst index, is under a's utility.  The first such
+            # a and its first b are where a row-major scan over (a, b) stops.
+            pairs = list(zip(utilities, worsts))
+            lowest = [INF] * r
+            for u, w in pairs:
+                lowest[w] = min(lowest[w], u)
+            below = [INF, *itertools.accumulate(lowest, min)]
+            ia = next((a for a, (u, w) in enumerate(pairs) if below[w] < u), None)
+            if ia is None:
+                examined += len(vectors) ** 2
+            else:
+                ua, wa = pairs[ia]
+                ib = next(b for b, (u, w) in enumerate(pairs) if u < ua and w < wa)
+                examined += ia * len(vectors) + ib  # the pairs scanned before it
+            if bound is not None and examined >= bound:
+                return None
+            if ia is not None:
+                return _problem_from_vectors(r, scalars, vectors[ia], vectors[ib])
     return None

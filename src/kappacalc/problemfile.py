@@ -57,6 +57,10 @@ def _load_json(text: str) -> Any:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except ValueError:  # int() refuses literals past sys.get_int_max_str_digits()
+        raise ParseError("an integer literal has too many digits to decode") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply to decode") from None
 
 
 def _need(doc: dict, key: str, kind: type, where: str) -> Any:
@@ -69,7 +73,7 @@ def _need(doc: dict, key: str, kind: type, where: str) -> Any:
 
 
 def _string_list(value: Any, where: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not isinstance(value, list) or not {str}.issuperset(map(type, value)):
         raise ParseError(f"{where}: expected a list of strings")
     return value
 

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the library's recursive formulations:
 reduction and evaluation are computed by enumerating complete root-to-leaf
 paths (addition distributes over min, so the path expansion must agree),
-and kappa is found by scanning exponents with exact rational arithmetic,
-never touching a logarithm.
+kappa is found by scanning exponents with exact rational arithmetic,
+never touching a logarithm, and the disagreement search compares every
+pair of candidate acts.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from kappacalc import INF, Leaf, SimpleLottery
 from kappacalc.utility import UtilityVector
@@ -57,3 +59,41 @@ def scan_kappa(p: Fraction, eps: Fraction):
     while p * eps ** (k + 1) <= 1:
         k += 1
     return k
+
+
+
+def scan_disagreement(max_prizes: int, max_delta: int, bound=None):
+    """The maximin-disagreement search by comparing every ordered pair.
+
+    The enumeration is `find_maximin_disagreement`'s: for r = 2.. prizes,
+    each strictly decreasing run of assessment scalars (the best prize
+    pinned to +INF), then every (a, b) of normalized delta vectors in
+    row-major order.  `bound` caps the pairs examined.  Returns (the
+    witness problem or None, the pairs examined before the witness, or
+    in all when there is none).
+    """
+    from kappacalc.decision import _problem_from_vectors
+
+    examined = 0
+    for r in range(2, max_prizes + 1):
+        domain = list(range(max_delta + 1)) + [INF]
+        vectors = [v for v in product(domain, repeat=r) if min(v) == 0]
+        worsts = [max(i for i, d in enumerate(v) if d != INF) for v in vectors]
+        ladder = list(range(max_delta, -max_delta - 1, -1)) + [-INF]
+        for tail in combinations(ladder, r - 1):
+            scalars = (INF,) + tail
+            # a scalar s >= 0 is the value (0, s); s < 0 is (-s, 0)
+            values = [(0, s) if s >= 0 else (-s, 0) for s in scalars]
+            utilities = [
+                min(d + worst for d, (_, worst) in zip(vec, values))
+                - min(d + best for d, (best, _) in zip(vec, values))
+                for vec in vectors
+            ]
+            for ia, vec_a in enumerate(vectors):
+                for ib, vec_b in enumerate(vectors):
+                    if bound is not None and examined >= bound:
+                        return None, examined
+                    if utilities[ia] > utilities[ib] and worsts[ia] > worsts[ib]:
+                        return _problem_from_vectors(r, scalars, vec_a, vec_b), examined
+                    examined += 1
+    return None, examined

@@ -209,6 +209,16 @@ def test_criterion_7_maximin_non_equivalence():
     ok(7, f"witness found in {elapsed:.2f} s; shipped fixture verified")
 
 
+def test_criterion_7_two_prizes_never_disagree():
+    # With two prizes the only normalized vector whose worst prize is o1 is
+    # certainty of o1, worth +inf, so no act can beat it on utility.
+    start = time.perf_counter()
+    assert find_maximin_disagreement(2, 200) is None
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"search took {elapsed:.2f} s"
+    ok(7, f"no two-prize witness up to delta 200 ({elapsed:.2f} s)")
+
+
 def test_criterion_8_oom_agreement_bound():
     rng = random.Random(1008)
     start = time.perf_counter()

@@ -177,6 +177,33 @@ class TestExitCodes:
         assert code == 1
         assert "o1 must map to (0,inf)" in out
 
+    def hostile(self, capsys, tmp_path, raw: bytes):
+        f = tmp_path / "hostile.json"
+        f.write_bytes(raw)
+        return [run(command, str(f), capsys=capsys)[::2] for command in ("validate", "reduce")]
+
+    def test_non_utf8_file_is_2(self, capsys, tmp_path):
+        results = self.hostile(capsys, tmp_path, b'{"prizes": ["o1", "o\xff"]}')
+        for code, err in results:
+            assert code == 2
+            assert err.startswith("parse error: cannot read ")
+            assert "not valid UTF-8 at byte 20" in err
+
+    def test_overlong_integer_literal_is_2(self, capsys, tmp_path):
+        raw = b'{"prizes": ["o1", "o2"], "notes": ' + b"9" * 5000 + b"}"
+        for code, err in self.hostile(capsys, tmp_path, raw):
+            assert code == 2
+            assert err == "parse error: an integer literal has too many digits to decode\n"
+
+    def test_overdeep_nesting_is_2(self, capsys, tmp_path):
+        tree = '"o1"'
+        for _ in range(500):
+            tree = f'[{{"delta": 0, "child": {tree}}}]'
+        raw = f'{{"prizes": ["o1", "o2"], "lottery": {tree}}}'.encode()
+        for code, err in self.hostile(capsys, tmp_path, raw):
+            assert code == 2
+            assert err == "parse error: document nested too deeply to decode\n"
+
 
 class TestEpsilonFlag:
     def test_flag_overrides_file(self, capsys, tmp_path):
@@ -202,10 +229,13 @@ class TestEpsilonFlag:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # the child gets the sources on PYTHONPATH even when pytest found
+        # them through its own pythonpath setting
         proc = subprocess.run(
             [sys.executable, "-m", "kappacalc", "utility", path("earthquake.json")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0
         assert proc.stdout == "(1, 0)  u = -1\n"

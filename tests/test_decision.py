@@ -1,5 +1,6 @@
 import pytest
 
+import conftest
 from kappacalc import (
     INF,
     DecisionProblem,
@@ -23,7 +24,9 @@ from kappacalc.errors import (
     OutOfRange,
     PrizeSetMismatch,
     UnknownAct,
+    UnknownPrize,
 )
+from oracles import scan_disagreement
 
 O3 = PrizeSet(("o1", "o2", "o3"))
 A3 = PrizeAssessment.from_map(O3, {"o1": (0, INF), "o2": (0, 1), "o3": (INF, 0)})
@@ -153,8 +156,6 @@ class TestActLottery:
 
     def test_always_normalized(self, rng):
         # S1 on the belief forces a zero delta whatever the table says
-        import conftest
-
         for _ in range(100):
             prizes = conftest.random_prizes(rng)
             assessment = conftest.random_assessment(rng, prizes)
@@ -168,6 +169,50 @@ class TestActLottery:
             )
             for act in acts:
                 assert min(act_lottery(p, act).deltas) == 0
+
+
+    def test_matches_direct_min_over_states(self, rng):
+        # some potentials are INF, and rows draw from a subset of the
+        # prizes, so some prizes are reached only by INF states or not at all
+        for _ in range(200):
+            prizes = conftest.random_prizes(rng)
+            assessment = conftest.random_assessment(rng, prizes)
+            belief = conftest.random_potential(rng, size=rng.randint(1, 12))
+            acts = tuple(f"a{i}" for i in range(rng.randint(1, 4)))
+            reach = [rng.sample(prizes.prizes, rng.randint(1, len(prizes))) for _ in acts]
+            outcome = tuple(tuple(rng.choice(r) for _ in belief.frame) for r in reach)
+            p = DecisionProblem(belief.frame, acts, outcome, belief, prizes, assessment)
+            for act, row in zip(acts, outcome):
+                direct = tuple(
+                    min((v for q, v in zip(row, belief.potential) if q == prize), default=INF)
+                    for prize in prizes
+                )
+                assert act_lottery(p, act).deltas == direct
+
+    def test_prize_reached_only_by_impossible_states(self):
+        states = Frame(("s1", "s2", "s3"))
+        p = DecisionProblem(
+            states,
+            ("A",),
+            (("o1", "o3", "o1"),),
+            DisbeliefFunction(states, (2, INF, 0)),
+            O3,
+            A3,
+        )
+        assert act_lottery(p, "A").deltas == (0, INF, INF)
+
+    def test_unknown_prize_names_first_bad_label(self):
+        states = Frame(("s1", "s2", "s3", "s4"))
+        belief = DisbeliefFunction(states, (0, 1, 2, 3))
+        rows = (("o1", "o2", "o3", "o1"), ("o1", "zz", "o2", "aa"))
+        with pytest.raises(UnknownPrize) as caught:
+            DecisionProblem(states, ("A", "B"), rows, belief, O3, A3)
+        assert str(caught.value) == "prize 'zz' is not in the prize set"
+        # a label that cannot even be hashed is reported the same way
+        rows = (("o1", ["o2"], "o3", "o1"),)
+        with pytest.raises(UnknownPrize) as caught:
+            DecisionProblem(states, ("A",), rows, belief, O3, A3)
+        assert str(caught.value) == "prize ['o2'] is not in the prize set"
 
 
 class TestRankings:
@@ -254,3 +299,18 @@ class TestDisagreementSearch:
         ranked = dict(rank_acts(problem))
         assert scalar_utility(ranked["A"]) > scalar_utility(ranked["B"])
         assert worst_prize_index(a_lot) > worst_prize_index(b_lot)
+
+
+class TestSearchAgainstExhaustiveScan:
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3])
+    def test_same_problem_with_and_without_a_bound(self, monkeypatch, r, delta):
+        monkeypatch.delenv(SEARCH_BOUND_ENV, raising=False)
+        expected, g = scan_disagreement(r, delta)
+        assert find_maximin_disagreement(r, delta) == expected
+        for bound in (0, 10, g, g + 1):
+            monkeypatch.setenv(SEARCH_BOUND_ENV, str(bound))
+            found = find_maximin_disagreement(r, delta)
+            assert found == scan_disagreement(r, delta, bound)[0]
+            # the witness is the (g + 1)-th pair, so a bound of g just misses it
+            assert found == (expected if bound > g else None)
