@@ -1,11 +1,11 @@
 """Order-of-magnitude reading of probabilities, and the agreement check.
 
 kappa_of(p) counts the leading zeros of p in base epsilon: floor of
--log_eps(p), with the class boundaries closed on the right so that an
-exact power eps**-k maps to k.  The float log is only a first guess; the
-answer is certified by exact rational comparison (every float is a
-rational), with a relative 1e-12 snap for inputs that were meant to be a
-boundary but picked up float noise on the way in.
+-log_eps(p), closed on the right so that an exact power eps**-k maps to k,
+with p up to relative 1e-12 above a boundary (float noise) snapped onto it:
+floor(x + s) for x = -ln(p) / ln(eps), s = min(ln(1 + 1e-12) / ln(eps), 1).
+The float x + s decides the class unless it lies within its error margin of
+an integer; only there is the class certified exactly, on integer ratios.
 
 The bridge then compares two ways of valuing a probabilistic lottery:
 kappa of its quantitative expected utility, versus the min-plus combination
@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .degrees import Degree, INF
 from .errors import LengthMismatch, NotNormalized, OutOfRange
 from .lottery import PrizeSet, SimpleLottery
 
 PROB_SUM_TOL = 1e-9
-BOUNDARY_RTOL = Fraction(1, 10**12)
+BOUNDARY_RTOL = 10**12  # p <= eps**-(k+1) * (1 + 1/BOUNDARY_RTOL) is in class k+1
+_LOG_SNAP = math.log1p(1 / BOUNDARY_RTOL)
+# The float x + s is within 3.5 * 2**-52 of its value, relative (the logs are
+# within 1 ulp; 1e-12, the divisions and the sum round once each); 18x that:
+_FLOAT_MARGIN = 2.0**-46
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,11 @@ def _epsilon_value(eps: Epsilon) -> float:
 def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     """Degree of disbelief of probability p: floor(-log_eps(p)).
 
-    0 maps to INF, 1 to 0; otherwise k such that eps**-(k+1) < p <= eps**-k.
-    The log-based guess is corrected by exact rational comparison, and a
-    value within relative 1e-12 of a class boundary is treated as the
-    boundary itself.
+    0 maps to INF, 1 to 0; otherwise k such that eps**-(k+1) < p <= eps**-k,
+    but p <= eps**-(k+1) * (1 + 1e-12) counts as eps**-(k+1), class k+1.
+    The float floor(x + s) of the module docstring decides unless x + s is
+    within 2**-46 * (x + s) of an integer.  There the class is certified
+    exactly: for p = n/d, eps = n_e/d_e, p <= eps**-j iff n*n_e**j <= d*d_e**j.
     """
     e = _epsilon_value(eps)
     if isinstance(p, bool) or not isinstance(p, (int, float)):
@@ -70,20 +74,26 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     if p == 1:
         return 0
 
-    guess = math.floor(-math.log(p) / math.log(e))
-    P = Fraction(p)
-    E = Fraction(e)
-    k = max(guess, 0)
-    # Certify eps**-(k+1) < p <= eps**-k, stepping if the log was off.
-    while P * E**k > 1:
+    log_e = math.log(e)
+    x = -math.log(p) / log_e
+    y = x + min(_LOG_SNAP / log_e, 1.0)
+    k = math.floor(y)
+    margin = y * _FLOAT_MARGIN
+    if margin < y - k < 1 - margin:
+        return k
+    n, d = p.as_integer_ratio()
+    n_e, d_e = e.as_integer_ratio()
+    k = max(math.floor(x), 0)
+    num, den = n * n_e**k, d * d_e**k  # the one power; each step reuses it
+    while num > den:  # p > eps**-k; p < 1 stops this at k = 0
         k -= 1
-    while P * E ** (k + 1) <= 1:
+        num //= n_e
+        den //= d_e
+    while num * n_e <= den * d_e:  # p <= eps**-(k+1)
         k += 1
-    k = max(k, 0)
-    # Snap: p just above the lower boundary eps**-(k+1) was probably meant
-    # to be exactly that boundary, which belongs to class k+1.
-    lower = Fraction(1) / E ** (k + 1)
-    if abs(P - lower) <= lower * BOUNDARY_RTOL:
+        num *= n_e
+        den *= d_e
+    if num * n_e * BOUNDARY_RTOL <= den * d_e * (BOUNDARY_RTOL + 1):
         return k + 1
     return k
 

@@ -30,7 +30,7 @@ from .degrees import Degree, INF, format_signed
 from .disbelief import DisbeliefFunction, Frame
 from .errors import KappaCalcError, ParseError
 from .lottery import Leaf, Lottery, Node, PrizeSet, SimpleLottery
-from .oom_bridge import OrderAgreement, ProbLottery
+from .oom_bridge import EpsilonBase, OrderAgreement, ProbLottery
 from .utility import PrizeAssessment, UtilityValue, scalar_utility
 
 KNOWN_SECTIONS = ("prizes", "assessment", "lottery", "decision", "prob_lottery", "notes")
@@ -214,7 +214,7 @@ def _parse_prob_lottery(section: Any, prizes: PrizeSet) -> tuple[ProbLottery, Op
         raw = section["epsilon"]
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ParseError("prob_lottery.epsilon: expected a number")
-        epsilon = float(raw)
+        epsilon = EpsilonBase(float(raw)).epsilon
     return ProbLottery(prizes, tuple(probs), tuple(utils)), epsilon
 
 

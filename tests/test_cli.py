@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 from kappacalc import cli
 
@@ -225,6 +226,50 @@ class TestEpsilonFlag:
         )
         assert code == 1
         assert "OutOfRange" in err
+
+    def test_bad_file_epsilon_is_refused_by_every_command(self, capsys, tmp_path):
+        f = tmp_path / "bad_eps.json"
+        for raw, shown in (("0.5", "0.5"), ("1e999", "inf")):
+            f.write_text(
+                '{"prizes": ["o1", "o2"], "prob_lottery":'
+                f' {{"probs": [0.5, 0.5], "utils": [1, 0], "epsilon": {raw}}}}}'
+            )
+            message = f"OutOfRange: epsilon must be finite and > 1, got {shown}"
+            code, out, _ = run("validate", str(f), capsys=capsys)
+            assert (code, out) == (1, f"prob_lottery: {message}\n")
+            code, out, _ = run("validate", str(f), "--json", capsys=capsys)
+            assert code == 1 and message in out
+            for command, *flags in (
+                ["bridge"], ["bridge", "--epsilon", "10"], ["reduce"], ["utility"], ["rank"]
+            ):
+                code, out, err = run(command, str(f), *flags, capsys=capsys)
+                assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_non_number_file_epsilon_is_2(self, capsys, tmp_path):
+        f = tmp_path / "text_eps.json"
+        doc = {
+            "prizes": ["o1", "o2"],
+            "prob_lottery": {"probs": [0.5, 0.5], "utils": [1, 0], "epsilon": "10"},
+        }
+        f.write_text(json.dumps(doc))
+        for command in ("validate", "bridge"):
+            code, _, err = run(command, str(f), capsys=capsys)
+            assert (code, err) == (2, "parse error: prob_lottery.epsilon: expected a number\n")
+
+    def test_deep_class_at_small_base_is_fast(self, capsys, tmp_path):
+        # kappa(1e-30) at eps 1.0001 is 690810, far too deep to reach by
+        # raising eps to that power
+        doc = {
+            "prizes": ["o1", "o2"],
+            "prob_lottery": {"probs": [1e-30, 1.0], "utils": [1, 0], "epsilon": 1.0001},
+        }
+        f = tmp_path / "deep.json"
+        f.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, _ = run("bridge", str(f), capsys=capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert "kappa(eu) = 690810" in out
 
 
 class TestEntryPoints:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,27 @@ O3 = PrizeSet(("o1", "o2", "o3"))
 unit_open = st.floats(
     min_value=0.0, max_value=1.0, exclude_min=True, allow_nan=False
 )
+
+
+def expected_kappa(p: float, eps: float) -> int:
+    """kappa_of's contract for 0 < p <= 1: 1 maps to 0; otherwise the exact
+    scan classifies the rational, then a p within relative 1e-12 above the
+    lower boundary is snapped into the class below it."""
+    if p == 1:
+        return 0
+    P, E = Fraction(p), Fraction(eps)
+    k = scan_kappa(P, E)
+    lower = 1 / E ** (k + 1)
+    return k + 1 if P - lower <= lower / 10**12 else k
+
+
+def ulp_neighbours(q: float, reach: int = 3) -> list:
+    """q and the floats up to `reach` ulps either side, kept inside (0, 1)."""
+    out, up, down = [q], q, q
+    for _ in range(reach):
+        up, down = math.nextafter(up, 1.0), math.nextafter(down, 0.0)
+        out += [up, down]
+    return [v for v in out if 0 < v < 1]
 
 
 class TestEpsilon:
@@ -73,14 +95,7 @@ class TestKappaOf:
     @given(unit_open)
     @settings(max_examples=300)
     def test_matches_exact_scan(self, p):
-        # scan_kappa classifies the exact rational; kappa_of additionally
-        # snaps floats sitting within relative 1e-12 above a boundary into
-        # the class below, per its contract
-        P, E = Fraction(p), Fraction(10)
-        k = scan_kappa(P, E)
-        lower = Fraction(1, 10 ** (k + 1))
-        expected = k + 1 if abs(P - lower) <= lower / 10**12 else k
-        assert kappa_of(p) == expected
+        assert kappa_of(p) == expected_kappa(p, 10)
 
     @given(unit_open, unit_open)
     @settings(max_examples=200)
@@ -104,6 +119,55 @@ class TestKappaOf:
         k = kappa_of(total)
         best = min(kappa_of(t) for t in terms)
         assert best - math.ceil(math.log10(len(terms))) - 1 <= k <= best
+
+
+BAND_EPSILONS = (10.0, 2.0, 2.5, 1.5, 1.1, 1.01, 1.001)
+BAND_KS = (1, 2, 3, 5, 8, 13, 40, 110)
+
+
+class TestDecisionBand:
+    """Inputs on and beside a class threshold, where the float decision
+    hands over to the exact certification."""
+
+    @pytest.mark.parametrize("eps", BAND_EPSILONS)
+    def test_powers_and_snap_boundaries(self, eps):
+        for k in BAND_KS:
+            for q in (eps**-k, eps**-k * (1 + 1e-12)):
+                for p in ulp_neighbours(q):
+                    assert kappa_of(p, eps) == expected_kappa(p, eps), (p, eps)
+
+    @pytest.mark.parametrize("eps", BAND_EPSILONS)
+    def test_one_minus_tiny(self, eps):
+        for tiny in (2**-53, 2**-52, 1e-15, 1e-13, 1e-12, 1e-9):
+            for p in ulp_neighbours(1 - tiny):
+                assert kappa_of(p, eps) == expected_kappa(p, eps), (p, eps)
+
+    @pytest.mark.parametrize("eps", (10.0, 2.0))
+    def test_smallest_subnormals(self, eps):
+        for p in ulp_neighbours(5e-324):
+            assert kappa_of(p, eps) == expected_kappa(p, eps), (p, eps)
+
+    def test_snap_wider_than_a_class(self):
+        # here ln(1 + 1e-12) / ln(eps) > 1: every p < 1 is within 1e-12 of
+        # its lower boundary, so the class is always the exact one plus 1
+        eps = 1 + 2**-40
+        assert math.log1p(1e-12) / math.log(eps) > 1
+        near_one = [1 - t * 2**-53 for t in range(1, 40)]
+        for q in (eps**-1, eps**-2, eps**-3, eps**-2 * (1 + 1e-12), *near_one):
+            for p in ulp_neighbours(q):
+                assert kappa_of(p, eps) == expected_kappa(p, eps), (p, eps)
+
+
+class TestTimeBound:
+    def test_deep_class_at_small_base(self):
+        start = time.perf_counter()
+        k = kappa_of(1e-300, 1.01)
+        assert time.perf_counter() - start < 0.05
+        # eps**-(k+1) < p <= eps**-k and p is not snapped, exactly
+        n, d = (1e-300).as_integer_ratio()
+        n_e, d_e = (1.01).as_integer_ratio()
+        num, den = n * n_e**k, d * d_e**k
+        assert num <= den and num * n_e * 10**12 > den * d_e * (10**12 + 1)
 
 
 class TestProbLottery:

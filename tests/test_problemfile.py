@@ -11,7 +11,7 @@ from kappacalc import (
     SimpleLottery,
     UtilityValue,
 )
-from kappacalc.errors import ParseError
+from kappacalc.errors import OutOfRange, ParseError
 from kappacalc.problemfile import (
     dumps,
     emit_bridge,
@@ -50,6 +50,19 @@ class TestParsing:
         pf = parse_problem(problem_text("bridge_powers.json"))
         assert pf.prob_lottery.probs == (0.5, 0.5)
         assert pf.epsilon == 2.0
+
+    def test_prob_lottery_epsilon_is_checked(self):
+        doc = ('{"prizes": ["a", "b"], "prob_lottery":'
+               ' {"probs": [0.5, 0.5], "utils": [1, 0], "epsilon": %s}}')
+        for raw, shown in (("0.5", "0.5"), ("1e999", "inf"), ("1", "1.0")):
+            with pytest.raises(OutOfRange, match="epsilon must be finite and > 1"):
+                parse_problem(doc % raw)
+            assert validate_problem(doc % raw) == [
+                f"prob_lottery: OutOfRange: epsilon must be finite and > 1, got {shown}"
+            ]
+        for raw in ('"10"', "true", "null", "[2]"):
+            with pytest.raises(ParseError, match="epsilon: expected a number"):
+                parse_problem(doc % raw)
 
     def test_leaf_lottery_and_inf_literal(self):
         pf = parse_problem(
