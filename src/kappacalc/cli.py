@@ -10,6 +10,7 @@ read or parsed, 3 an internal invariant broke (a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -106,6 +107,7 @@ def cmd_bridge(
     )
 
 
+@functools.cache  # built on the first main() call and shared after it: do not mutate
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kappacalc",

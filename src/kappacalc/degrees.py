@@ -42,7 +42,9 @@ def check_degree(value: object) -> Degree:
 
 
 def check_degrees(values: Iterable[object]) -> tuple[Degree, ...]:
-    return tuple(check_degree(v) for v in values)
+    # Bridge-path tuples come from lists: tuple(generator) resizes a 10-slot
+    # tuple, moving a fresh block onto the size-n freelist, which only a full gc empties.
+    return tuple([check_degree(v) for v in values])
 
 
 def normalize_degrees(values: Iterable[object]) -> tuple[Degree, ...]:
@@ -60,7 +62,7 @@ def normalize_degrees(values: Iterable[object]) -> tuple[Degree, ...]:
     if not finite:
         raise AllInfinite("every degree is infinite; nothing to normalize")
     low = min(finite)
-    return tuple(v if v == INF else v - low for v in vec)
+    return tuple([v if v == INF else v - low for v in vec])
 
 
 def format_degree(value: Degree) -> str:

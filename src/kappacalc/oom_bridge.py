@@ -112,8 +112,8 @@ class ProbLottery:
     utils: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        object.__setattr__(self, "utils", tuple(float(u) for u in self.utils))
+        object.__setattr__(self, "probs", tuple([float(p) for p in self.probs]))
+        object.__setattr__(self, "utils", tuple([float(u) for u in self.utils]))
         r = len(self.prizes)
         if len(self.probs) != r:
             raise LengthMismatch(f"{len(self.probs)} probabilities for {r} prizes")

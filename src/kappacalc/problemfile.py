@@ -94,10 +94,13 @@ def _real_list(value: Any, where: str) -> list[float]:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of numbers")
     out = []
-    for x in value:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError(f"{where}: expected a number, got {x!r}")
-        out.append(float(x))
+    try:
+        for x in value:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ParseError(f"{where}: expected a number, got {x!r}")
+            out.append(float(x))
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
     return out
 
 
@@ -214,7 +217,10 @@ def _parse_prob_lottery(section: Any, prizes: PrizeSet) -> tuple[ProbLottery, Op
         raw = section["epsilon"]
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ParseError("prob_lottery.epsilon: expected a number")
-        epsilon = EpsilonBase(float(raw)).epsilon
+        try:
+            epsilon = EpsilonBase(float(raw)).epsilon
+        except OverflowError:
+            raise ParseError("prob_lottery.epsilon: integer too large for a float") from None
     return ProbLottery(prizes, tuple(probs), tuple(utils)), epsilon
 
 

@@ -1,9 +1,16 @@
+import argparse
+import contextlib
+import gc
 import json
 import os
+import platform
+import random
 import shutil
 import subprocess
 import sys
 import time
+
+import pytest
 
 from kappacalc import cli
 
@@ -205,6 +212,20 @@ class TestExitCodes:
             assert code == 2
             assert err == "parse error: document nested too deeply to decode\n"
 
+    def test_integer_too_large_for_a_float_is_2(self, capsys, tmp_path):
+        big = "9" * 401
+        doc = '{"prizes": ["o1", "o2"], "prob_lottery": {"probs": %s, "utils": [1, 0]%s}}'
+        for field, raw in (
+            ("epsilon", doc % ("[0.5, 0.5]", f', "epsilon": {big}')),
+            ("probs", doc % (f"[{big}, 0.5]", "")),
+        ):
+            f = tmp_path / f"big_{field}.json"
+            f.write_text(raw)
+            message = f"parse error: prob_lottery.{field}: integer too large for a float\n"
+            for command, *flags in (["validate"], ["validate", "--json"], ["reduce"],
+                                    ["utility"], ["rank"], ["bridge"], ["bridge", "--json"]):
+                assert run(command, str(f), *flags, capsys=capsys) == (2, "", message)
+
 
 class TestEpsilonFlag:
     def test_flag_overrides_file(self, capsys, tmp_path):
@@ -272,6 +293,128 @@ class TestEpsilonFlag:
         assert "kappa(eu) = 690810" in out
 
 
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap at the terminal width
+        cli.build_parser.cache_clear()
+        yield
+        cli.build_parser.cache_clear()
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, tmp_path):
+        f = tmp_path / "half.json"
+        f.write_text(json.dumps({
+            "prizes": ["o1", "o2"],
+            "prob_lottery": {"probs": [0.5, 0.5], "utils": [1, 0], "epsilon": 10},
+        }))
+        f = str(f)
+        calls = [
+            ["bridge", f, "--epsilon", "2"],
+            ["bridge", f],
+            ["bridge", f, "--json"],
+            ["bridge", f],
+            ["bridge"],
+            ["bridge", f, "--json", "--epsilon", "2"],
+            ["frobnicate", f],
+            ["reduce", path("depth2_tree.json")],
+            ["--help"],
+            ["bridge", "--help"],
+            ["utility", path("earthquake.json"), "--json"],
+            ["bridge", f, "--epsilon", "x"],
+            ["bridge", f],
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(outcome(argv, capsys))
+        cli.build_parser.cache_clear()
+        reused = [outcome(argv, capsys) for argv in calls + calls]
+        assert reused == fresh + fresh
+        assert cli.build_parser.cache_info().misses == 1
+        # the file's epsilon comes back once the flag is gone
+        assert "kappa(eu) = 1\n" in fresh[0][1] and "kappa(eu) = 0\n" in fresh[1][1]
+        assert fresh[1] == fresh[3] == fresh[12]
+        code, out, err = fresh[4]
+        assert (code, out) == (("SystemExit", 2), "")
+        assert err.startswith("usage: kappacalc bridge [-h] [--json] [--epsilon EPSILON] file\n")
+        assert fresh[6][0] == fresh[11][0] == ("SystemExit", 2)
+        assert "invalid choice: 'frobnicate'" in fresh[6][2]
+        assert "invalid float value: 'x'" in fresh[11][2]
+        assert fresh[8][0] == fresh[9][0] == ("SystemExit", 0)
+        assert fresh[8][1].startswith("usage: kappacalc [-h]")
+        assert "--epsilon EPSILON" in fresh[9][1]
+
+    def test_fifty_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(50):
+            assert cli.main(["utility", path("earthquake.json")]) == 0
+        assert capsys.readouterr().out == "(1, 0)  u = -1\n" * 50
+        assert built.count("kappacalc") == 1
+        assert len(built) == 6  # the top-level parser and one per command
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="counts CPython allocator blocks")
+def test_bridge_calls_do_not_grow_the_heap(tmp_path):
+    """Hundreds of in-process bridge calls leave the block count flat.
+
+    A tuple built from a generator is resized from 10 slots, and the block
+    ends up on CPython's per-size tuple freelist, which only a full
+    collection empties.  Each call's cyclic garbage is collected young here
+    (gc.collect(1) leaves the freelists alone), so parked tuples show as
+    growth: about five blocks a call on 2- to 16-prize lotteries.
+    """
+    rng = random.Random(5)
+    files = []
+    for i in range(40):
+        r = rng.randint(2, 16)
+        weights = [rng.random() for _ in range(r)]
+        utils = sorted((rng.random() for _ in range(r - 2)), reverse=True)
+        doc = {
+            "prizes": [f"o{j + 1}" for j in range(r)],
+            "prob_lottery": {"probs": [w / sum(weights) for w in weights],
+                             "utils": [1.0, *utils, 0.0]},
+        }
+        files.append(tmp_path / f"p{i}.json")
+        files[-1].write_text(json.dumps(doc))
+    argvs = [["bridge", str(f), "--json", "--epsilon", str(e)]
+             for e in (10, 2, 1.5) for f in files]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            blocks = []
+            for _ in range(4):
+                for argv in argvs:
+                    cli.main(argv)
+                    gc.collect(1)
+                blocks.append(sys.getallocatedblocks())
+        finally:
+            gc.enable()
+    # the first round refills the small freelists that gc.collect() emptied
+    growth = blocks[-1] - blocks[0]
+    assert growth < 200, f"{growth} blocks more after {3 * len(argvs)} bridge calls"
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         # the child gets the sources on PYTHONPATH even when pytest found
@@ -284,6 +427,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "(1, 0)  u = -1\n"
+
+    def test_import_builds_no_parser_and_loads_no_exact_arithmetic(self):
+        code = ("import sys, kappacalc.cli as cli; "
+                "print(sorted({'fractions', 'decimal'} & set(sys.modules)), "
+                "cli.build_parser.cache_info().currsize)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0\n", "")
 
     def test_console_script(self):
         """The installed script if there is one, else the declared target.

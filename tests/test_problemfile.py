@@ -64,6 +64,18 @@ class TestParsing:
             with pytest.raises(ParseError, match="epsilon: expected a number"):
                 parse_problem(doc % raw)
 
+    def test_integer_too_large_for_a_float_names_its_field(self):
+        doc = ('{"prizes": ["a", "b"], "prob_lottery":'
+               ' {"probs": %s, "utils": %s, "epsilon": %s}}')
+        big = "9" * 401
+        for field, fields in (("epsilon", ("[0.5, 0.5]", "[1, 0]", big)),
+                              ("probs", (f"[0.5, {big}]", "[1, 0]", "10")),
+                              ("utils", ("[0.5, 0.5]", f"[{big}, 0]", "10"))):
+            message = f"prob_lottery.{field}: integer too large for a float"
+            for parse in (parse_problem, validate_problem):
+                with pytest.raises(ParseError, match=message):
+                    parse(doc % fields)
+
     def test_leaf_lottery_and_inf_literal(self):
         pf = parse_problem(
             '{"prizes": ["o1", "o2"], "lottery": "o2", '
