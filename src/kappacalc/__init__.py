@@ -42,11 +42,8 @@ from .oom_bridge import (
 from .utility import (
     PrizeAssessment,
     UtilityValue,
-    UtilityVector,
-    add_scalar,
     compare_standard,
     evaluate,
-    min_vectors,
     scalar_utility,
     standard_equivalent,
 )
@@ -70,12 +67,9 @@ __all__ = [
     "make_node",
     "simple_node",
     "prize_lottery",
-    "UtilityVector",
     "UtilityValue",
     "PrizeAssessment",
     "scalar_utility",
-    "add_scalar",
-    "min_vectors",
     "compare_standard",
     "evaluate",
     "standard_equivalent",

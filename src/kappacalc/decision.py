@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .degrees import Degree, INF, Signed
 from .disbelief import DisbeliefFunction, Frame
@@ -23,7 +23,6 @@ from .errors import (
     DuplicateLabel,
     EmptyList,
     FrameMismatch,
-    KappaCalcError,
     OutOfRange,
     PrizeSetMismatch,
     UnknownAct,
@@ -44,9 +43,9 @@ SEARCH_BOUND_ENV = "KAPPA_SEARCH_BOUND"
 class DecisionProblem:
     """An outcome table plus beliefs over states and assessed prizes.
 
-    `outcome` may be given as a mapping from (act, state) pairs to prize
-    labels; it is stored canonically as one row of prizes per act, in
-    state order.  The table must be total and every prize known.
+    `outcome` holds one row of prize labels per act, in act order, each
+    with one entry per state in state order.  The table must be total and
+    every prize known.
     """
 
     states: Frame
@@ -69,26 +68,7 @@ class DecisionProblem:
             raise PrizeSetMismatch("assessment does not cover this problem's prizes")
 
     def _canonical_outcome(self, raw) -> tuple[tuple[str, ...], ...]:
-        if isinstance(raw, Mapping):
-            for act, state in raw:
-                if act not in self.acts:
-                    raise UnknownAct(f"outcome table mentions unknown act {act!r}")
-                if state not in self.states:
-                    raise UnknownWorld(f"outcome table mentions unknown state {state!r}")
-            rows = []
-            for act in self.acts:
-                row = []
-                for state in self.states:
-                    try:
-                        row.append(raw[(act, state)])
-                    except KeyError:
-                        raise KappaCalcError(
-                            f"outcome table has no entry for ({act!r}, {state!r})"
-                        ) from None
-                rows.append(tuple(row))
-            table = tuple(rows)
-        else:
-            table = tuple(tuple(row) for row in raw)
+        table = tuple(tuple(row) for row in raw)
         if len(table) != len(self.acts):
             raise UnknownAct(f"{len(table)} outcome rows for {len(self.acts)} acts")
         for act, row in zip(self.acts, table):
@@ -120,20 +100,13 @@ class DecisionProblem:
             lotteries.append(SimpleLottery(self.prizes, tuple(low.values())))
         return tuple(lotteries)
 
-    def prize_for(self, act: str, state: str) -> str:
-        return self.outcome[self._act_index(act)][self.states.index(state)]
-
-    def _act_index(self, act: str) -> int:
-        try:
-            return self.acts.index(act)
-        except ValueError:
-            raise UnknownAct(f"{act!r} is not an act of this problem") from None
-
 
 def act_lottery(problem: DecisionProblem, act: str) -> SimpleLottery:
     """The simple lottery an act induces: per prize, min potential over
     the states that yield it; INF for prizes no state reaches."""
-    return problem._lotteries[problem._act_index(act)]
+    if act not in problem.acts:
+        raise UnknownAct(f"{act!r} is not an act of this problem")
+    return problem._lotteries[problem.acts.index(act)]
 
 
 def rank_acts(problem: DecisionProblem) -> list[tuple[str, UtilityValue]]:
@@ -238,7 +211,6 @@ def _problem_from_vectors(
 def find_maximin_disagreement(
     max_prizes: int,
     max_delta: int,
-    num_acts: int = 2,
 ) -> Optional[DecisionProblem]:
     """Search two-act problems for a qualitative-vs-maximin disagreement.
 
@@ -253,8 +225,6 @@ def find_maximin_disagreement(
             f"need at least 2 prizes and a non-negative delta bound, "
             f"got ({max_prizes}, {max_delta})"
         )
-    if num_acts < 2:
-        return None
     bound = _search_bound()
     examined = 0
     for r in range(2, max_prizes + 1):

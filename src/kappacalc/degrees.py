@@ -8,7 +8,7 @@ is no machine word to wrap around.  ``INF`` saturates under addition
 so degrees are combined with the ordinary ``+`` and ``min`` operators.
 
 Belief values extend the same picture to signed integers with both
-infinities; they share the text encoding ("inf" / "-inf") defined here.
+infinities; `format_signed` prints them with "+inf" / "-inf".
 """
 
 from __future__ import annotations
@@ -69,15 +69,6 @@ def format_degree(value: Degree) -> str:
     return "inf" if value == INF else str(value)
 
 
-def parse_degree(raw: object) -> Degree:
-    """Accept an int, or the string "inf", as written in problem files."""
-    if raw == "inf":
-        return INF
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
-        return raw
-    raise TypeError(f"not a degree: {raw!r} (need a non-negative int or \"inf\")")
-
-
 def format_signed(value: Signed) -> str:
     """Signed integers with explicit-sign infinities, as the CLI prints them."""
     if value == INF:
@@ -85,13 +76,3 @@ def format_signed(value: Signed) -> str:
     if value == -INF:
         return "-inf"
     return str(value)
-
-
-def parse_signed(raw: object) -> Signed:
-    if raw in ("inf", "+inf"):
-        return INF
-    if raw == "-inf":
-        return -INF
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    raise TypeError(f"not a signed value: {raw!r}")

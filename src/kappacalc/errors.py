@@ -56,7 +56,7 @@ class PrizeSetMismatch(KappaCalcError):
 
 
 class EmptyList(KappaCalcError):
-    """Componentwise minimum of zero vectors is undefined."""
+    """A collection that needs at least one member is empty (a decision with no acts)."""
 
 
 class InvalidAssessment(KappaCalcError):

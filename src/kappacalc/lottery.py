@@ -92,10 +92,6 @@ class SimpleLottery:
         """Prizes with finite disbelief, in preference order."""
         return tuple(p for p, d in zip(self.prizes, self.deltas) if d != INF)
 
-    def as_node(self) -> "Node":
-        """View as a depth-1 tree (one branch per prize, even the INF ones)."""
-        return Node(tuple((d, Leaf(p, self.prizes)) for p, d in zip(self.prizes, self.deltas)))
-
     def reduce(self) -> "SimpleLottery":
         return self
 

@@ -16,6 +16,7 @@ order_agreement reports the gap instead of pretending it is zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -31,6 +32,13 @@ _LOG_SNAP = math.log1p(1 / BOUNDARY_RTOL)
 _FLOAT_MARGIN = 2.0**-46
 
 
+def _show(x: object) -> str:
+    try:
+        return repr(x)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"an int of {x.bit_length()} bits"
+
+
 @dataclass(frozen=True)
 class EpsilonBase:
     """The base of the order-of-magnitude scale; any real > 1."""
@@ -41,8 +49,8 @@ class EpsilonBase:
         e = self.epsilon
         if not isinstance(e, (int, float)) or isinstance(e, bool):
             raise OutOfRange(f"epsilon must be a real number, got {e!r}")
-        if not math.isfinite(e) or e <= 1:
-            raise OutOfRange(f"epsilon must be finite and > 1, got {e!r}")
+        if not 1 < e <= sys.float_info.max:  # exact for ints; false for NaN
+            raise OutOfRange(f"epsilon must be finite and > 1, got {_show(e)}")
         object.__setattr__(self, "epsilon", float(e))
 
 
@@ -67,8 +75,8 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     e = _epsilon_value(eps)
     if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise OutOfRange(f"probability must be a real number, got {p!r}")
-    if math.isnan(p) or p < 0 or p > 1:
-        raise OutOfRange(f"probability must lie in [0, 1], got {p!r}")
+    if not 0 <= p <= 1:  # exact for ints; false for NaN
+        raise OutOfRange(f"probability must lie in [0, 1], got {_show(p)}")
     if p == 0:
         return INF
     if p == 1:
@@ -112,8 +120,13 @@ class ProbLottery:
     utils: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple([float(p) for p in self.probs]))
-        object.__setattr__(self, "utils", tuple([float(u) for u in self.utils]))
+        try:
+            object.__setattr__(self, "probs", tuple([float(p) for p in self.probs]))
+            object.__setattr__(self, "utils", tuple([float(u) for u in self.utils]))
+        except OverflowError:  # an int past the float range is outside [0, 1]
+            raise OutOfRange(
+                "probability or utility out of [0, 1]: an int past the float range"
+            ) from None
         r = len(self.prizes)
         if len(self.probs) != r:
             raise LengthMismatch(f"{len(self.probs)} probabilities for {r} prizes")

@@ -9,30 +9,25 @@ the integers with both infinities.
 
 Expected utility of a lottery is the min-plus analogue of the familiar
 sum-of-products: branch degrees are *added* to child utilities and the
-results are *minimized* componentwise.  Intermediate sums step off the
-scale (their minimum can exceed 0), so they are plain vectors; the final
-minimum provably lands back on the scale, and the conversion at the end is
-the runtime checkpoint for that closure.
+results are *minimized* componentwise.  `evaluate` reduces the lottery to
+its simple form first and takes the two minima as plain degrees; their
+pair provably lands back on the scale, and building the `UtilityValue`
+is the runtime checkpoint for that closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .degrees import Degree, INF, Signed, check_degree
-from .errors import (
-    EmptyList,
-    InvalidAssessment,
-    NotNormalized,
-    UnassessedPrize,
-)
+from .errors import InvalidAssessment, NotNormalized, UnassessedPrize
 from .lottery import Lottery, PrizeSet, SimpleLottery
 
 
 @dataclass(frozen=True)
-class UtilityVector:
-    """An unconstrained degree pair; the workspace for intermediate sums."""
+class UtilityValue:
+    """A degree pair on the scale proper: min(toward_best, toward_worst) == 0."""
 
     toward_best: Degree
     toward_worst: Degree
@@ -40,26 +35,14 @@ class UtilityVector:
     def __post_init__(self):
         check_degree(self.toward_best)
         check_degree(self.toward_worst)
-
-    def pair(self) -> tuple[Degree, Degree]:
-        return (self.toward_best, self.toward_worst)
-
-    def to_value(self) -> "UtilityValue":
-        """Re-enter the utility scale; raises if the minimum is not 0."""
-        return UtilityValue(self.toward_best, self.toward_worst)
-
-
-@dataclass(frozen=True)
-class UtilityValue(UtilityVector):
-    """A pair on the scale proper: min(toward_best, toward_worst) == 0."""
-
-    def __post_init__(self):
-        super().__post_init__()
         if min(self.toward_best, self.toward_worst) != 0:
             raise NotNormalized(
                 f"({self.toward_best}, {self.toward_worst}) is off the utility scale: "
                 "one component must be 0"
             )
+
+    def pair(self) -> tuple[Degree, Degree]:
+        return (self.toward_best, self.toward_worst)
 
 
 def scalar_utility(value: UtilityValue) -> Signed:
@@ -69,22 +52,6 @@ def scalar_utility(value: UtilityValue) -> Signed:
     since one component is always 0, no INF - INF case can arise.
     """
     return value.toward_worst - value.toward_best
-
-
-def add_scalar(shift: Degree, vector: UtilityVector) -> UtilityVector:
-    """Add one degree to both components (a branch degree reaching a child)."""
-    check_degree(shift)
-    return UtilityVector(shift + vector.toward_best, shift + vector.toward_worst)
-
-
-def min_vectors(vectors: Sequence[UtilityVector]) -> UtilityVector:
-    """Componentwise minimum of one or more vectors."""
-    if not vectors:
-        raise EmptyList("minimum of zero utility vectors is undefined")
-    return UtilityVector(
-        min(v.toward_best for v in vectors),
-        min(v.toward_worst for v in vectors),
-    )
 
 
 def compare_standard(left: UtilityValue, right: UtilityValue) -> int:

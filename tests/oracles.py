@@ -10,9 +10,9 @@ pair of candidate acts.
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
-from kappacalc import INF, Leaf, SimpleLottery
-from kappacalc.utility import UtilityVector
+from kappacalc import INF, Degree, Leaf, SimpleLottery
 
 
 def _paths(lottery, acc=0):
@@ -37,7 +37,14 @@ def path_sum_reduce(lottery) -> SimpleLottery:
     return SimpleLottery(prizes, tuple(best[p] for p in prizes))
 
 
-def path_sum_evaluate(lottery, assessment) -> UtilityVector:
+class PathSum(NamedTuple):
+    """The two flat minima; unlike a UtilityValue, never checked to be on the scale."""
+
+    toward_best: Degree
+    toward_worst: Degree
+
+
+def path_sum_evaluate(lottery, assessment) -> PathSum:
     """Evaluate as a flat min over paths of path degree + leaf value."""
     first = INF
     second = INF
@@ -45,7 +52,7 @@ def path_sum_evaluate(lottery, assessment) -> UtilityVector:
         value = assessment.value_of(prize)
         first = min(first, total + value.toward_best)
         second = min(second, total + value.toward_worst)
-    return UtilityVector(first, second)
+    return PathSum(first, second)
 
 
 def scan_kappa(p: Fraction, eps: Fraction):

@@ -19,12 +19,13 @@ from kappacalc import (
 )
 from kappacalc.decision import SEARCH_BOUND_ENV
 from kappacalc.errors import (
+    EmptyList,
     FrameMismatch,
-    KappaCalcError,
     OutOfRange,
     PrizeSetMismatch,
     UnknownAct,
     UnknownPrize,
+    UnknownWorld,
 )
 from oracles import scan_disagreement
 
@@ -66,40 +67,44 @@ def earthquake_problem():
 class TestProblemValidation:
     def test_outcome_must_cover_all_pairs(self):
         states = Frame(("s1", "s2"))
-        with pytest.raises(KappaCalcError, match="no entry"):
+        with pytest.raises(UnknownWorld, match="has 1 entries, expected 2"):
             DecisionProblem(
                 states=states,
                 acts=("A",),
-                outcome={("A", "s1"): "o1"},
+                outcome=(("o1",),),
                 belief=DisbeliefFunction(states, (0, 0)),
                 prizes=O3,
                 assessment=A3,
             )
 
-    def test_outcome_mapping_form_is_accepted(self):
+    def test_outcome_rows_are_accepted(self):
         states = Frame(("s1", "s2"))
         p = DecisionProblem(
             states=states,
             acts=("A",),
-            outcome={("A", "s1"): "o1", ("A", "s2"): "o2"},
+            outcome=[["o1", "o2"]],
             belief=DisbeliefFunction(states, (0, 0)),
             prizes=O3,
             assessment=A3,
         )
         assert p.outcome == (("o1", "o2"),)
-        assert p.prize_for("A", "s2") == "o2"
 
     def test_unknown_act_in_table(self):
         states = Frame(("s1",))
-        with pytest.raises(UnknownAct):
+        with pytest.raises(UnknownAct, match="2 outcome rows for 1 acts"):
             DecisionProblem(
                 states=states,
                 acts=("A",),
-                outcome={("A", "s1"): "o1", ("Z", "s1"): "o1"},
+                outcome=(("o1",), ("o1",)),
                 belief=DisbeliefFunction(states, (0,)),
                 prizes=O3,
                 assessment=A3,
             )
+
+    def test_no_acts_is_an_empty_list(self):
+        states = Frame(("s1",))
+        with pytest.raises(EmptyList):
+            DecisionProblem(states, (), (), DisbeliefFunction(states, (0,)), O3, A3)
 
     def test_frames_and_prizes_must_line_up(self):
         states = Frame(("s1", "s2"))
@@ -274,7 +279,8 @@ class TestDisagreementSearch:
         assert find_maximin_disagreement(2, 0) is None
 
     def test_single_act_cannot_disagree(self):
-        assert find_maximin_disagreement(3, 5, num_acts=1) is None
+        problem = earthquake_problem()
+        assert rank_acts(problem)[0][0] == maximin_rank(problem)[0][0] == "build"
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(OutOfRange):

@@ -10,10 +10,10 @@ from kappacalc.degrees import (
     format_degree,
     format_signed,
     is_degree,
-    parse_degree,
-    parse_signed,
 )
-from kappacalc.errors import AllInfinite
+from kappacalc.errors import AllInfinite, ParseError
+from kappacalc.problemfile import degree_from_json, emit_utility_value, parse_utility_value
+from kappacalc.utility import UtilityValue
 
 degrees = st.one_of(st.integers(min_value=0, max_value=10**6), st.just(INF))
 
@@ -69,23 +69,22 @@ def test_degree_formatting():
 
 def test_degree_parsing_accepts_json_decoded_values():
     # a decoded document holds ints, with infinity spelled "inf"
-    assert parse_degree("inf") == INF
-    assert parse_degree(5) == 5
-    with pytest.raises(TypeError):
-        parse_degree("-inf")
-    with pytest.raises(TypeError):
-        parse_degree(2.5)
-    with pytest.raises(TypeError):
-        parse_degree(-1)
+    assert degree_from_json("inf", "here") == INF
+    assert degree_from_json(5, "here") == 5
+    for raw in ("-inf", 2.5, -1, True):
+        with pytest.raises(ParseError, match=r"^here: expected a non-negative integer or \"inf\""):
+            degree_from_json(raw, "here")
 
 
 def test_signed_text_round_trip():
     assert format_signed(INF) == "+inf"
     assert format_signed(-INF) == "-inf"
     assert format_signed(-4) == "-4"
-    assert parse_signed("+inf") == INF
-    assert parse_signed("-inf") == -INF
-    assert parse_signed(-4) == -4
+    # the JSON utility emit/parse pair carries the signed scalar beside its pair
+    for pair, scalar in [((0, INF), "+inf"), ((INF, 0), "-inf"), ((4, 0), -4)]:
+        doc = emit_utility_value(UtilityValue(*pair))
+        assert doc["scalar"] == scalar
+        assert parse_utility_value(doc) == UtilityValue(*pair)
 
 
 def test_inf_is_math_inf():

@@ -65,9 +65,10 @@ class TestSimpleLottery:
         with pytest.raises(UnknownPrize):
             prize_lottery("zzz", O3)
 
-    def test_as_node_round_trip(self):
+    def test_simple_node_round_trip(self):
         sl = SimpleLottery(O3, (0, 3, INF))
-        assert sl.as_node().reduce() == sl
+        # one branch per prize, the INF one included, reduces back to itself
+        assert simple_node(O3, dict(zip(O3, sl.deltas))).reduce() == sl
 
 
 class TestTreeValidation:
@@ -150,7 +151,7 @@ class TestDeepAndSharedTrees:
         mid = make_node([(0, shared), (2, Leaf("o1", O3))])
         tree = make_node([(1, shared), (0, mid), (4, make_node([(0, mid), (2, shared)]))])
         assert tree.reduce() == path_sum_reduce(tree)
-        assert evaluate(tree, EQ3).pair() == path_sum_evaluate(tree, EQ3).pair()
+        assert evaluate(tree, EQ3).pair() == path_sum_evaluate(tree, EQ3)
         assert tree.depth() == 4
         for _ in range(100):
             # each new node picks its children from every node built so far
@@ -161,7 +162,7 @@ class TestDeepAndSharedTrees:
                 pool.append(make_node(zip(deltas, rng.sample(pool, n))))
             dag = pool[-1]
             assert dag.reduce() == path_sum_reduce(dag)
-            assert evaluate(dag, EQ3).pair() == path_sum_evaluate(dag, EQ3).pair()
+            assert evaluate(dag, EQ3).pair() == path_sum_evaluate(dag, EQ3)
 
     def test_shared_subtree_is_walked_once(self):
         # 2**60 root-to-leaf paths over 61 distinct nodes

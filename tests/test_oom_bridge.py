@@ -59,6 +59,27 @@ class TestEpsilon:
                 EpsilonBase(bad)
 
 
+@pytest.mark.parametrize(
+    "huge", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: kappa_of(n),
+        lambda n: kappa_of(0.5, n),
+        lambda n: EpsilonBase(n),
+        lambda n: agreement_bound(3, n),
+        lambda n: ProbLottery(O2, (n, 0.5), (1, 0)),
+        lambda n: ProbLottery(O2, (1, 0), (n, 0)),
+    ],
+    ids=["kappa_of_p", "kappa_of_eps", "EpsilonBase", "agreement_bound", "probs", "utils"],
+)
+def test_ints_past_the_float_range_are_out_of_range(call, huge):
+    # 10**5000 is also past sys.get_int_max_str_digits(): no message may repr it
+    with pytest.raises(OutOfRange):
+        call(huge)
+
+
 class TestKappaOf:
     def test_leading_zero_counts(self):
         assert kappa_of(0.325) == 0

@@ -9,18 +9,15 @@ from kappacalc import (
     PrizeSet,
     SimpleLottery,
     UtilityValue,
-    UtilityVector,
-    add_scalar,
     compare_standard,
     evaluate,
     make_node,
-    min_vectors,
+    prize_lottery,
     scalar_utility,
     simple_node,
     standard_equivalent,
 )
 from kappacalc.errors import (
-    EmptyList,
     InvalidAssessment,
     NotNormalized,
     UnassessedPrize,
@@ -39,20 +36,11 @@ B0_GRID = [UtilityValue(0, y) for y in [*range(21), INF]] + [
 
 
 class TestScale:
-    def test_vector_allows_unnormalized_pairs(self):
-        v = UtilityVector(3, 5)
-        assert v.pair() == (3, 5)
-
     def test_value_requires_a_zero_component(self):
         with pytest.raises(NotNormalized):
             UtilityValue(3, 5)
         with pytest.raises(NotNormalized):
             UtilityValue(INF, INF)
-        with pytest.raises(NotNormalized):
-            UtilityVector(1, 2).to_value()
-
-    def test_vector_to_value_checkpoint(self):
-        assert UtilityVector(0, 4).to_value() == UtilityValue(0, 4)
 
     def test_scalar_utility(self):
         assert scalar_utility(UtilityValue(0, INF)) == INF
@@ -63,31 +51,27 @@ class TestScale:
 
 
 class TestMinPlusOps:
-    def test_add_scalar(self):
-        assert add_scalar(3, UtilityVector(0, 2)).pair() == (3, 5)
-        assert add_scalar(0, UtilityVector(1, 0)).pair() == (1, 0)
-        assert add_scalar(2, UtilityVector(0, INF)).pair() == (2, INF)
-        assert add_scalar(INF, UtilityVector(0, 1)).pair() == (INF, INF)
-
-    def test_min_vectors(self):
-        assert min_vectors([UtilityVector(0, 5), UtilityVector(3, 0)]).pair() == (0, 0)
-        assert min_vectors([UtilityVector(2, INF), UtilityVector(INF, 1)]).pair() == (2, 1)
-        only = UtilityVector(4, 0)
-        assert min_vectors([only]) == only
-        with pytest.raises(EmptyList):
-            min_vectors([])
+    def test_branch_degree_adds_to_child(self):
+        # a branch degree is added to every prize of its child; INF saturates
+        child = simple_node(O3, {"o1": 0, "o2": 2})
+        assert make_node([(0, Leaf("o3", O3)), (3, child)]).reduce().deltas == (3, 5, 0)
+        assert make_node([(0, Leaf("o3", O3)), (INF, child)]).reduce().deltas == (INF, INF, 0)
+        assert make_node([(0, child)]).reduce().deltas == (0, 2, INF)
 
     @given(
-        st.integers(0, 30),
-        st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=6
-        ),
+        st.sampled_from(["o1", "o2", "o3"]),
+        st.one_of(st.integers(0, 30), st.just(INF)),
+        st.randoms(use_true_random=False),
     )
-    def test_add_distributes_over_min(self, c, pairs):
-        vs = [UtilityVector(a, b) for a, b in pairs]
-        left = add_scalar(c, min_vectors(vs))
-        right = min_vectors([add_scalar(c, v) for v in vs])
-        assert left == right
+    def test_add_distributes_over_min(self, prize, c, rng):
+        # the kernel's Node(p at 0, L at c) is min(prize_lottery(p), c + L), per prize
+        sub = random_lottery(rng, O3, depth=3, max_branch=4)
+        node = make_node([(0, Leaf(prize, O3)), (c, sub)])
+        expected = tuple(
+            min(a, c + b)
+            for a, b in zip(prize_lottery(prize, O3).deltas, sub.reduce().deltas)
+        )
+        assert node.reduce().deltas == expected
 
 
 class TestStandardOrder:
@@ -187,7 +171,7 @@ class TestEvaluate:
             tree = random_lottery(rng, prizes, depth=3, max_branch=4)
             value = evaluate(tree, assessment)
             assert min(value.pair()) == 0
-            assert value.pair() == path_sum_evaluate(tree, assessment).pair()
+            assert value.pair() == path_sum_evaluate(tree, assessment)
 
     def test_agrees_with_reduce(self, rng):
         for _ in range(250):
