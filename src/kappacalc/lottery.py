@@ -6,9 +6,10 @@ branch has degree 0.  A *simple* lottery is the flat form, one degree per
 prize of the full prize set; a bare prize is the degenerate simple lottery
 that is 0 at that prize and INF elsewhere.
 
-Reduction collapses a compound tree to a simple lottery bottom-up: a
-prize's collapsed degree is the minimum over branches of branch degree plus
-the child's collapsed degree for that prize (min-plus composition).
+Reduction collapses a tree to a simple lottery by min-plus composition: a
+prize's degree is the minimum over branches of branch degree plus the
+child's collapsed degree for that prize.  Each node composes its branches
+when it is built, from children already composed, so reduce reads the root.
 """
 
 from __future__ import annotations
@@ -104,13 +105,14 @@ def prize_lottery(prize: str, prizes: PrizeSet) -> SimpleLottery:
 
 @dataclass(frozen=True)
 class Leaf:
-    """A bare prize at the bottom of a lottery tree."""
+    """A bare prize at the bottom of a lottery tree; `slot` is its prize index."""
 
     prize: str
     prizes: PrizeSet
+    slot: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.prizes.index(self.prize)  # membership check
+        object.__setattr__(self, "slot", self.prizes.index(self.prize))
 
     def depth(self) -> int:
         return 0
@@ -126,28 +128,51 @@ class Node:
     Branches with INF degree are allowed (they are absorbed by the min),
     children may have unequal depths, and a child need not mention every
     prize; all children must draw from the same prize set, stored once.
+    Building the node checks each branch once and folds it into `deltas`,
+    the collapsed degree per prize, as the module docstring describes.
     """
 
     branches: tuple[tuple[Degree, "Lottery"], ...]
     prizes: PrizeSet = field(init=False, compare=False, repr=False)
+    deltas: tuple[Degree, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple((d, c) for d, c in self.branches))
-        if not self.branches:
+        branches = self.branches
+        if type(branches) is not tuple:
+            branches = tuple(branches)
+        if not branches:
             raise EmptyBranches("a lottery node needs at least one branch")
-        for d, child in self.branches:
+        prizes = acc = None
+        loose = mismatch = False
+        for pair in branches:
+            d, child = pair
+            if type(pair) is not tuple:
+                loose = True
             if type(d) is not int or d < 0:  # plain ints need no further check
                 check_degree(d)
-            if not isinstance(child, (Leaf, Node)):
-                raise TypeError(f"branch child must be a lottery, got {child!r}")
-        first = self.branches[0][1].prizes
-        for _, child in self.branches:
-            if child.prizes is not first and child.prizes != first:
-                raise PrizeSetMismatch("branches draw prizes from different prize sets")
-        low = min(d for d, _ in self.branches)
-        if low != 0:
-            raise NotNormalized(f"S1 violated: minimum branch delta is {low}, expected 0")
-        object.__setattr__(self, "prizes", first)
+            if type(child) is not Leaf or child.prizes is not prizes:  # else a plain leaf, same set
+                if not isinstance(child, (Leaf, Node)):
+                    raise TypeError(f"branch child must be a lottery, got {child!r}")
+                if prizes is None:
+                    prizes, acc = child.prizes, [INF] * len(child.prizes)
+                if child.prizes is not prizes and child.prizes != prizes:
+                    mismatch = True  # raised once every branch has been type-checked
+                    continue
+                if isinstance(child, Node):
+                    for j, s in enumerate(child.deltas):
+                        if (t := d + s) < acc[j]:
+                            acc[j] = t
+                    continue
+            if d < acc[child.slot]:
+                acc[child.slot] = d
+        if mismatch:
+            raise PrizeSetMismatch("branches draw prizes from different prize sets")
+        if 0 not in acc:  # children are normalized, so min(acc) is the least branch degree
+            raise NotNormalized(f"S1 violated: minimum branch delta is {min(acc)}, expected 0")
+        if loose or branches is not self.branches:  # list pairs or a non-tuple iterable
+            object.__setattr__(self, "branches", tuple([(d, c) for d, c in branches]))
+        object.__setattr__(self, "prizes", prizes)
+        object.__setattr__(self, "deltas", tuple(acc))
 
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path, counted level by level."""
@@ -159,31 +184,8 @@ class Node:
         return levels
 
     def reduce(self) -> SimpleLottery:
-        """Collapse to a simple lottery by min-plus composition, bottom-up.
-
-        Post-order over an explicit stack; results are keyed by id, so a
-        subtree shared by several branches is walked once per call.
-        """
-        index = {p: j for j, p in enumerate(self.prizes)}
-        done: dict[int, list[Degree]] = {}
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            pending = [c for _, c in node.branches if isinstance(c, Node) and id(c) not in done]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            acc = [INF] * len(index)
-            for d, child in node.branches:
-                if isinstance(child, Node):
-                    acc = [a if a <= (t := d + s) else t for a, s in zip(acc, done[id(child)])]
-                elif d < acc[j := index[child.prize]]:
-                    acc[j] = d
-            if min(acc) != 0:
-                raise NotNormalized(f"S1 violated: minimum delta is {min(acc)}, expected 0")
-            done[id(node)] = acc
-        return SimpleLottery(self.prizes, tuple(done[id(self)]))
+        """The simple lottery this tree collapses to, composed at construction."""
+        return SimpleLottery(self.prizes, self.deltas)
 
 
 Lottery = Union[Leaf, Node]
@@ -201,6 +203,4 @@ def simple_node(prizes: PrizeSet, deltas: Mapping[str, Degree]) -> Node:
     disbelief once reduced), which is how sparse lotteries like
     ``[o1.0, o3.2]`` are written.
     """
-    for p in deltas:
-        prizes.index(p)
-    return Node(tuple((d, Leaf(p, prizes)) for p, d in deltas.items()))
+    return Node([(d, Leaf(p, prizes)) for p, d in deltas.items()])

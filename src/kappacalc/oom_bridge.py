@@ -106,6 +106,15 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     return k
 
 
+def _real(x: object, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise OutOfRange(f"{what} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # an int past the float range is outside [0, 1]
+        raise OutOfRange(f"{what} out of [0, 1]: an int past the float range") from None
+
+
 @dataclass(frozen=True)
 class ProbLottery:
     """A probability vector and normalized prize utilities, in prize order.
@@ -120,13 +129,8 @@ class ProbLottery:
     utils: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "probs", tuple([float(p) for p in self.probs]))
-            object.__setattr__(self, "utils", tuple([float(u) for u in self.utils]))
-        except OverflowError:  # an int past the float range is outside [0, 1]
-            raise OutOfRange(
-                "probability or utility out of [0, 1]: an int past the float range"
-            ) from None
+        object.__setattr__(self, "probs", tuple([_real(p, "probability") for p in self.probs]))
+        object.__setattr__(self, "utils", tuple([_real(u, "utility") for u in self.utils]))
         r = len(self.prizes)
         if len(self.probs) != r:
             raise LengthMismatch(f"{len(self.probs)} probabilities for {r} prizes")

@@ -123,50 +123,54 @@ def _parse_assessment(section: Any, prizes: PrizeSet) -> PrizeAssessment:
     return PrizeAssessment.from_map(prizes, mapping)
 
 
+def _entry_defect(entry: Any) -> str:
+    if not isinstance(entry, dict):
+        return "expected an object with delta and child"
+    extra = sorted(set(entry) - {"delta", "child"})
+    return f"unknown keys {extra!r}" if extra else "needs both delta and child"
+
+
 def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
     """Build a tree without recursion, with one shared Leaf per prize label.
 
-    A frame is (entries, index of the entry being built, branches, its
-    degree); error locations are spelled out from the frames only on error.
+    A frame is (the entries left, index of the entry being built, branches,
+    its degree); error locations are spelled out from the frames only on error.
     """
     if not isinstance(section, list):
         if isinstance(section, str):
             return Leaf(section, prizes)
         raise ParseError("lottery: expected a prize name or a list of branches")
-    leaves: dict[str, Leaf] = {}
-    stack: list[tuple[list, int, list, Degree]] = []
+    leaves = {p: Leaf(p, prizes) for p in prizes}
+    stack: list[tuple[Any, int, list, Degree]] = []
 
     def spot(i: int) -> str:
         return "lottery" + "".join(f"[{f[1]}].child" for f in stack) + f"[{i}]"
 
-    entries, start, branches = section, 0, []
+    entries, branches = enumerate(section), []
     while True:
-        for i in range(start, len(entries)):
-            entry = entries[i]
-            if not isinstance(entry, dict):
-                raise ParseError(f"{spot(i)}: expected an object with delta and child")
-            if len(entry) != 2 or "delta" not in entry or "child" not in entry:
-                extra = sorted(set(entry) - {"delta", "child"})
-                raise ParseError(f"{spot(i)}: unknown keys {extra!r}" if extra
-                                 else f"{spot(i)}: needs both delta and child")
-            delta, child = entry["delta"], entry["child"]
+        for i, entry in entries:
+            try:
+                delta, child = entry["delta"], entry["child"]
+            except (KeyError, TypeError):
+                raise ParseError(f"{spot(i)}: {_entry_defect(entry)}") from None
+            if len(entry) != 2:
+                raise ParseError(f"{spot(i)}: {_entry_defect(entry)}")
             if type(delta) is not int or delta < 0:
                 delta = INF if delta == "inf" else degree_from_json(delta, f"{spot(i)}.delta")
-            if isinstance(child, list):
+            if type(child) is str:
+                branches.append((delta, leaves.get(child) or Leaf(child, prizes)))
+            elif type(child) is list:
                 stack.append((entries, i, branches, delta))
-                entries, start, branches = child, 0, []
+                entries, branches = enumerate(child), []
                 break
-            if not isinstance(child, str):
+            else:
                 raise ParseError(f"{spot(i)}.child: expected a prize name or a list of branches")
-            leaf = leaves.get(child) or leaves.setdefault(child, Leaf(child, prizes))
-            branches.append((delta, leaf))
         else:
             node = Node(tuple(branches))
             if not stack:
                 return node
-            entries, i, branches, delta = stack.pop()
+            entries, _, branches, delta = stack.pop()
             branches.append((delta, node))
-            start = i + 1
 
 
 def _parse_decision(
@@ -279,15 +283,7 @@ def _build_problem(text: str, collect: bool) -> tuple[Optional[ProblemFile], lis
         parsed = run("prob_lottery", lambda: _parse_prob_lottery(doc["prob_lottery"], prizes))
         if parsed is not None:
             prob, epsilon = parsed
-    problem = ProblemFile(
-        prizes=prizes,
-        assessment=assessment,
-        lottery=lottery,
-        decision=decision,
-        prob_lottery=prob,
-        epsilon=epsilon,
-    )
-    return problem, diagnostics
+    return ProblemFile(prizes, assessment, lottery, decision, prob, epsilon), diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kappacalc import (
     INF,
@@ -172,3 +174,91 @@ class TestDeepAndSharedTrees:
         assert tree.reduce().deltas == (0, INF, 5)
         assert evaluate(tree, EQ3).pair() == (0, 5)
         assert tree.depth() == 61
+
+
+O5 = PrizeSet(("o1", "o2", "o3", "o4", "o5"))
+A, B, C = (Leaf(p, O3) for p in O3)
+DEGREE = "not a disbelief degree: {} (need a non-negative int or INF)"
+CHILD = "branch child must be a lottery, got {}"
+MISMATCH = "branches draw prizes from different prize sets"
+S1 = "S1 violated: minimum branch delta is {}, expected 0"
+
+
+class TestConstruction:
+    """A node composes its branches once, when it is built, and keeps every check."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_deltas_match_reduce_and_path_oracle(self, data):
+        prizes = PrizeSet(tuple(f"p{i}" for i in range(data.draw(st.integers(2, 5)))))
+        pool = [Leaf(p, prizes) for p in prizes]
+        for _ in range(data.draw(st.integers(1, 7))):
+            # children are drawn from every lottery built so far, so subtrees are shared
+            n = data.draw(st.integers(1, 3))
+            children = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            degrees = data.draw(st.lists(st.sampled_from([0, 1, 2, 5, INF]),
+                                         min_size=n, max_size=n))
+            degrees[data.draw(st.integers(0, n - 1))] = 0
+            pool.append(Node(tuple(zip(degrees, children))))
+        node = pool[-1]
+        assert node.deltas == node.reduce().deltas == path_sum_reduce(node).deltas
+
+    def test_list_pairs_and_generators_equal_tuple_pairs(self):
+        inner = Node(((0, A), (2, C)))
+        pairs = ((0, inner), (1, C), (INF, B))
+        built = Node(pairs)
+        for other in (
+            Node([list(p) for p in pairs]),
+            Node(tuple([list(p) for p in pairs])),
+            Node(p for p in pairs),
+            Node(list(pairs)),
+            make_node([[0, inner], [1, C], [INF, B]]),
+        ):
+            assert other == built
+            assert hash(other) == hash(built)
+            assert type(other.branches) is tuple
+            assert all(type(pair) is tuple for pair in other.branches)
+            assert other.deltas == built.deltas == (0, INF, 1)
+
+    def test_derived_fields_stay_out_of_repr(self):
+        node = Node(((0, B),))
+        assert repr(B) == "Leaf(prize='o2', prizes=PrizeSet(prizes=('o1', 'o2', 'o3')))"
+        assert repr(node) == f"Node(branches=((0, {B!r}),))"
+        assert B.slot == 1 and node.deltas == (INF, 0, INF)
+
+    @pytest.mark.parametrize(
+        "branches, error, message",
+        [
+            (((True, A),), TypeError, DEGREE.format(True)),
+            (((0, A), (-1, B)), TypeError, DEGREE.format(-1)),
+            (((0, A), (1.5, B)), TypeError, DEGREE.format(1.5)),
+            (((0, A), (0.0, B)), TypeError, DEGREE.format(0.0)),
+            (((0, A), (-INF, B)), TypeError, DEGREE.format(-INF)),
+            (((0, "o1"),), TypeError, CHILD.format("'o1'")),
+            (((0, A), (1, SimpleLottery(O3, (0, 1, 2)))), TypeError,
+             CHILD.format(repr(SimpleLottery(O3, (0, 1, 2))))),
+            (((0, A), (0, Leaf("o5", O5))), PrizeSetMismatch, MISMATCH),
+            (((0, Leaf("o5", O5)), (0, A)), PrizeSetMismatch, MISMATCH),
+            (((0, A), (0, Node(((0, Leaf("o4", O5)),)))), PrizeSetMismatch, MISMATCH),
+            ((), EmptyBranches, "a lottery node needs at least one branch"),
+            (((1, A), (2, B)), NotNormalized, S1.format(1)),
+            (((INF, A), (INF, B)), NotNormalized, S1.format(INF)),
+            # several defects: degree and type errors, then the prize set, then S1
+            (((-1, "o1"),), TypeError, DEGREE.format(-1)),
+            (((0, A), (1, "o2"), (-1, B)), TypeError, CHILD.format("'o2'")),
+            (((0, Leaf("o5", O5)), (0, A), (-2, B)), TypeError, DEGREE.format(-2)),
+            (((0, A), (0, Leaf("o5", O5)), (0, 7)), TypeError, CHILD.format(7)),
+            (((1, A), (0, Leaf("o5", O5))), PrizeSetMismatch, MISMATCH),
+            (((1, A), (2, "o2")), TypeError, CHILD.format("'o2'")),
+        ],
+        ids=["bool", "negative", "float", "float-zero", "minus-inf", "first-child",
+             "later-child", "larger-leaf", "larger-first", "larger-node", "empty",
+             "no-zero", "all-inf", "degree-then-child", "child-then-degree",
+             "mismatch-then-degree", "mismatch-then-child", "mismatch-then-s1",
+             "s1-then-child"],
+    )
+    def test_refusals(self, branches, error, message):
+        with pytest.raises(error) as caught:
+            Node(branches)
+        assert type(caught.value) is error
+        assert str(caught.value) == message

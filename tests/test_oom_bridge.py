@@ -80,6 +80,27 @@ def test_ints_past_the_float_range_are_out_of_range(call, huge):
         call(huge)
 
 
+@pytest.mark.parametrize(
+    "probs, utils, message",
+    [
+        (("0.5", "0.5"), (1, 0), "probability must be a real number, got '0.5'"),
+        ((0.5, 0.5), ("1", 0), "utility must be a real number, got '1'"),
+        ((0.5, 0.5), (1, False), "utility must be a real number, got False"),
+        ((True, 0), (1, 0), "probability must be a real number, got True"),
+        ((0.5, None), (1, 0), "probability must be a real number, got None"),
+        ((Fraction(1, 2), 0.5), (1, 0), "probability must be a real number, got Fraction(1, 2)"),
+        ((0.5, 0.5), (1, 0j), "utility must be a real number, got 0j"),
+    ],
+    ids=["str-prob", "str-util", "bool-util", "bool-prob", "none", "fraction", "complex"],
+)
+def test_prob_lottery_refuses_non_reals(probs, utils, message):
+    # as kappa_of does: float() would otherwise coerce "0.5" and False
+    with pytest.raises(OutOfRange) as caught:
+        ProbLottery(O2, probs, utils)
+    assert str(caught.value) == message
+
+
+
 class TestKappaOf:
     def test_leading_zero_counts(self):
         assert kappa_of(0.325) == 0

@@ -202,6 +202,78 @@ class TestNestedErrorMessages:
         assert str(caught.value) == "S1 violated: minimum branch delta is 1, expected 0"
 
 
+ENTRY = "expected an object with delta and child"
+
+
+class TestEntryShapes:
+    """Every refusal of a malformed branch entry, at the top and nested.
+
+    The message is checked through parse_problem and through the CLI, which
+    prints it after "parse error: " and exits 2 under every command.
+    """
+
+    @staticmethod
+    def at_top(entry) -> list:
+        return [{"delta": 0, "child": "o1"}, entry]
+
+    @staticmethod
+    def nested(entry) -> list:
+        return [{"delta": 0, "child": [{"delta": 0, "child": "o2"}, entry]}]
+
+    @pytest.mark.parametrize(
+        "entry, defect",
+        [
+            ("ab", ENTRY),
+            ([0, "o1"], ENTRY),
+            (7, ENTRY),
+            (None, ENTRY),
+            ({"delta": 0, "child": "o1", "x": 1}, "unknown keys ['x']"),
+            ({"delta": 0}, "needs both delta and child"),
+        ],
+        ids=["string", "list", "int", "null", "three-keys", "only-delta"],
+    )
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    def test_message_and_exit_code(self, entry, defect, where, tmp_path, capsys):
+        from kappacalc import cli
+
+        if where == "top":
+            lottery, message = self.at_top(entry), f"lottery[1]: {defect}"
+        else:
+            lottery, message = self.nested(entry), f"lottery[0].child[1]: {defect}"
+        text = TestNestedErrorMessages.lottery_doc(lottery)
+        with pytest.raises(ParseError) as caught:
+            parse_problem(text)
+        assert str(caught.value) == message
+        f = tmp_path / "entry.json"
+        f.write_text(text, encoding="utf-8")
+        for command in ("validate", "reduce"):
+            assert cli.main([command, str(f)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "lottery",
+        [[], [{"delta": 0, "child": []}], [{"delta": 0, "child": [{"delta": 0, "child": []}]}]],
+        ids=["top", "child", "grandchild"],
+    )
+    def test_empty_branch_list(self, lottery, tmp_path, capsys):
+        from kappacalc import cli
+        from kappacalc.errors import EmptyBranches
+
+        text = TestNestedErrorMessages.lottery_doc(lottery)
+        with pytest.raises(EmptyBranches) as caught:
+            parse_problem(text)
+        assert str(caught.value) == "a lottery node needs at least one branch"
+        f = tmp_path / "empty.json"
+        f.write_text(text, encoding="utf-8")
+        assert cli.main(["reduce", str(f)]) == 1
+        assert capsys.readouterr().err == (
+            "error: EmptyBranches: a lottery node needs at least one branch\n")
+        assert cli.main(["validate", str(f)]) == 1
+        assert capsys.readouterr().out == (
+            "lottery: EmptyBranches: a lottery node needs at least one branch\n")
+
+
 class TestValidateCollection:
     def test_clean_file(self):
         assert validate_problem(problem_text("earthquake.json")) == []
