@@ -11,23 +11,13 @@ by their worst reachable prize.  The two rules genuinely disagree;
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import add
 from typing import Optional, Sequence
 
 from .degrees import Degree, INF, Signed
 from .disbelief import DisbeliefFunction, Frame
-from .errors import (
-    DuplicateLabel,
-    EmptyList,
-    FrameMismatch,
-    OutOfRange,
-    PrizeSetMismatch,
-    UnknownAct,
-    UnknownWorld,
-)
+from .errors import DuplicateLabel, EmptyList, OutOfRange, UnknownAct, UnknownWorld
 from .lottery import PrizeSet, SimpleLottery
 from .utility import (
     PrizeAssessment,
@@ -36,24 +26,23 @@ from .utility import (
     scalar_utility,
 )
 
-SEARCH_BOUND_ENV = "KAPPA_SEARCH_BOUND"
-
 
 @dataclass(frozen=True)
 class DecisionProblem:
     """An outcome table plus beliefs over states and assessed prizes.
 
     `outcome` holds one row of prize labels per act, in act order, each
-    with one entry per state in state order.  The table must be total and
-    every prize known.
+    with one entry per state of `belief.frame`, in frame order.  The table
+    must be total and every label a prize of `assessment.prizes`.  Building
+    the problem checks each row once and folds it into its act's simple
+    lottery in the same pass.
     """
 
-    states: Frame
     acts: tuple[str, ...]
     outcome: tuple[tuple[str, ...], ...]
     belief: DisbeliefFunction
-    prizes: PrizeSet
     assessment: PrizeAssessment
+    _lotteries: tuple[SimpleLottery, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "acts", tuple(self.acts))
@@ -61,44 +50,39 @@ class DecisionProblem:
             raise EmptyList("a decision problem needs at least one act")
         if len(set(self.acts)) != len(self.acts):
             raise DuplicateLabel(f"act labels repeat: {self.acts!r}")
-        object.__setattr__(self, "outcome", self._canonical_outcome(self.outcome))
-        if self.belief.frame != self.states:
-            raise FrameMismatch("belief is not over this problem's states")
-        if self.assessment.prizes != self.prizes:
-            raise PrizeSetMismatch("assessment does not cover this problem's prizes")
-
-    def _canonical_outcome(self, raw) -> tuple[tuple[str, ...], ...]:
-        table = tuple(tuple(row) for row in raw)
+        table = tuple(tuple(row) for row in self.outcome)
         if len(table) != len(self.acts):
             raise UnknownAct(f"{len(table)} outcome rows for {len(self.acts)} acts")
+        prizes = self.assessment.prizes
+        potential = self.belief.potential
+        lotteries = []
         for act, row in zip(self.acts, table):
-            if len(row) != len(self.states):
+            if len(row) != len(potential):
                 raise UnknownWorld(
                     f"outcome row for {act!r} has {len(row)} entries, "
-                    f"expected {len(self.states)}"
+                    f"expected {len(potential)}"
                 )
+            low = dict.fromkeys(prizes, INF)
             try:
-                known = set(self.prizes).issuperset(row)
-            except TypeError:  # an unhashable label cannot be a prize either
-                known = False
-            if not known:
+                for prize, v in zip(row, potential):
+                    if v < low[prize]:
+                        low[prize] = v
+            except (KeyError, TypeError):  # an unhashable label cannot be a prize either
                 for prize in row:
-                    self.prizes.index(prize)
-        return table
-
-    @cached_property
-    def _lotteries(self) -> tuple[SimpleLottery, ...]:
-        """Each act's simple lottery, in act order, from one pass over its row."""
-        lotteries = []
-        for row in self.outcome:
-            low = dict.fromkeys(self.prizes, INF)
-            for prize, v in zip(row, self.belief.potential):
-                if v < low[prize]:
-                    low[prize] = v
+                    prizes.index(prize)  # raises UnknownPrize on the first bad label
             # S1 on the belief guarantees some state has potential 0, so the
             # prize it reaches gets delta 0 and no renormalization is needed.
-            lotteries.append(SimpleLottery(self.prizes, tuple(low.values())))
-        return tuple(lotteries)
+            lotteries.append(SimpleLottery(prizes, tuple(low.values())))
+        object.__setattr__(self, "outcome", table)
+        object.__setattr__(self, "_lotteries", tuple(lotteries))
+
+    @property
+    def states(self) -> Frame:
+        return self.belief.frame
+
+    @property
+    def prizes(self) -> PrizeSet:
+        return self.assessment.prizes
 
 
 def act_lottery(problem: DecisionProblem, act: str) -> SimpleLottery:
@@ -156,19 +140,6 @@ def _delta_vectors(r: int, max_delta: int) -> list[tuple[Degree, ...]]:
     return [combo for combo in itertools.product(domain, repeat=r) if min(combo) == 0]
 
 
-def _search_bound() -> Optional[int]:
-    raw = os.environ.get(SEARCH_BOUND_ENV)
-    if raw is None:
-        return None
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise OutOfRange(f"{SEARCH_BOUND_ENV} must be an integer, got {raw!r}") from None
-    if bound < 0:
-        raise OutOfRange(f"{SEARCH_BOUND_ENV} must be non-negative, got {bound}")
-    return bound
-
-
 def _problem_from_vectors(
     r: int,
     scalars: Sequence[Signed],
@@ -196,14 +167,11 @@ def _problem_from_vectors(
             potential.append(vec_a[i] + vec_b[j])
             table_a.append(prizes.prizes[i])
             table_b.append(prizes.prizes[j])
-    states = Frame(tuple(labels))
-    belief = DisbeliefFunction(states, tuple(potential))
+    belief = DisbeliefFunction(Frame(tuple(labels)), tuple(potential))
     return DecisionProblem(
-        states=states,
         acts=("A", "B"),
         outcome=(tuple(table_a), tuple(table_b)),
         belief=belief,
-        prizes=prizes,
         assessment=assessment,
     )
 
@@ -216,17 +184,14 @@ def find_maximin_disagreement(
 
     Returns the first problem, in a fixed enumeration order, where the
     utility ranking strictly prefers one act and the maximin ranking
-    strictly prefers the other; None when the bounded space has no such
-    pair.  The KAPPA_SEARCH_BOUND environment variable, when set, caps
-    the act pairs examined, counted in the exhaustive row-major order.
+    strictly prefers the other.  The two arguments bound the search, so
+    None means the space they span holds no witness.
     """
     if max_prizes < 2 or max_delta < 0:
         raise OutOfRange(
             f"need at least 2 prizes and a non-negative delta bound, "
             f"got ({max_prizes}, {max_delta})"
         )
-    bound = _search_bound()
-    examined = 0
     for r in range(2, max_prizes + 1):
         vectors = _delta_vectors(r, max_delta)
         worsts = [max(i for i, d in enumerate(v) if d != INF) for v in vectors]
@@ -247,14 +212,8 @@ def find_maximin_disagreement(
                 lowest[w] = min(lowest[w], u)
             below = [INF, *itertools.accumulate(lowest, min)]
             ia = next((a for a, (u, w) in enumerate(pairs) if below[w] < u), None)
-            if ia is None:
-                examined += len(vectors) ** 2
-            else:
+            if ia is not None:
                 ua, wa = pairs[ia]
                 ib = next(b for b, (u, w) in enumerate(pairs) if u < ua and w < wa)
-                examined += ia * len(vectors) + ib  # the pairs scanned before it
-            if bound is not None and examined >= bound:
-                return None
-            if ia is not None:
                 return _problem_from_vectors(r, scalars, vectors[ia], vectors[ib])
     return None

@@ -174,6 +174,10 @@ class Node:
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "deltas", tuple(acc))
 
+    def __hash__(self):
+        # equal branches compose to equal deltas, so this agrees with ==
+        return hash(self.deltas)
+
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path, counted level by level."""
         levels, frontier = 0, [self]

@@ -173,9 +173,7 @@ def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
             branches.append((delta, node))
 
 
-def _parse_decision(
-    section: Any, prizes: PrizeSet, assessment: Optional[PrizeAssessment]
-) -> DecisionProblem:
+def _parse_decision(section: Any, assessment: Optional[PrizeAssessment]) -> DecisionProblem:
     if not isinstance(section, dict):
         raise ParseError("decision: expected an object")
     if assessment is None:
@@ -200,13 +198,10 @@ def _parse_decision(
                 f"decision.outcome[{act!r}]: {len(row)} entries for {len(states)} states"
             )
         rows.append(tuple(row))
-    belief = DisbeliefFunction(states, potential)
     return DecisionProblem(
-        states=states,
         acts=acts,
         outcome=tuple(rows),
-        belief=belief,
-        prizes=prizes,
+        belief=DisbeliefFunction(states, potential),
         assessment=assessment,
     )
 
@@ -276,9 +271,7 @@ def _build_problem(text: str, collect: bool) -> tuple[Optional[ProblemFile], lis
         if collect and "assessment" in doc and assessment is None:
             diagnostics.append("decision: skipped (assessment section is invalid)")
         else:
-            decision = run(
-                "decision", lambda: _parse_decision(doc["decision"], prizes, assessment)
-            )
+            decision = run("decision", lambda: _parse_decision(doc["decision"], assessment))
     if "prob_lottery" in doc:
         parsed = run("prob_lottery", lambda: _parse_prob_lottery(doc["prob_lottery"], prizes))
         if parsed is not None:

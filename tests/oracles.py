@@ -69,19 +69,16 @@ def scan_kappa(p: Fraction, eps: Fraction):
 
 
 
-def scan_disagreement(max_prizes: int, max_delta: int, bound=None):
+def scan_disagreement(max_prizes: int, max_delta: int):
     """The maximin-disagreement search by comparing every ordered pair.
 
     The enumeration is `find_maximin_disagreement`'s: for r = 2.. prizes,
     each strictly decreasing run of assessment scalars (the best prize
     pinned to +INF), then every (a, b) of normalized delta vectors in
-    row-major order.  `bound` caps the pairs examined.  Returns (the
-    witness problem or None, the pairs examined before the witness, or
-    in all when there is none).
+    row-major order.  Returns the first witness problem, or None.
     """
     from kappacalc.decision import _problem_from_vectors
 
-    examined = 0
     for r in range(2, max_prizes + 1):
         domain = list(range(max_delta + 1)) + [INF]
         vectors = [v for v in product(domain, repeat=r) if min(v) == 0]
@@ -98,9 +95,6 @@ def scan_disagreement(max_prizes: int, max_delta: int, bound=None):
             ]
             for ia, vec_a in enumerate(vectors):
                 for ib, vec_b in enumerate(vectors):
-                    if bound is not None and examined >= bound:
-                        return None, examined
                     if utilities[ia] > utilities[ib] and worsts[ia] > worsts[ib]:
-                        return _problem_from_vectors(r, scalars, vec_a, vec_b), examined
-                    examined += 1
-    return None, examined
+                        return _problem_from_vectors(r, scalars, vec_a, vec_b)
+    return None

@@ -17,12 +17,9 @@ from kappacalc import (
     scalar_utility,
     worst_prize_index,
 )
-from kappacalc.decision import SEARCH_BOUND_ENV
 from kappacalc.errors import (
     EmptyList,
-    FrameMismatch,
     OutOfRange,
-    PrizeSetMismatch,
     UnknownAct,
     UnknownPrize,
     UnknownWorld,
@@ -36,11 +33,9 @@ A3 = PrizeAssessment.from_map(O3, {"o1": (0, INF), "o2": (0, 1), "o3": (INF, 0)}
 def ab_problem():
     states = Frame(("s1", "s2"))
     return DecisionProblem(
-        states=states,
         acts=("A", "B"),
         outcome=(("o1", "o3"), ("o2", "o2")),
         belief=DisbeliefFunction(states, (0, 5)),
-        prizes=O3,
         assessment=A3,
     )
 
@@ -55,11 +50,9 @@ def earthquake_problem():
     states = Frame(tuple(f"s{i}" for i in range(13)))
     deltas = (4, 3, 2, 1, 0, 1, 2, 2, 3, 4, 5, 6, 7)
     return DecisionProblem(
-        states=states,
         acts=("build",),
         outcome=(tuple(prizes),),
         belief=DisbeliefFunction(states, deltas),
-        prizes=prizes,
         assessment=assessment,
     )
 
@@ -69,22 +62,18 @@ class TestProblemValidation:
         states = Frame(("s1", "s2"))
         with pytest.raises(UnknownWorld, match="has 1 entries, expected 2"):
             DecisionProblem(
-                states=states,
                 acts=("A",),
                 outcome=(("o1",),),
                 belief=DisbeliefFunction(states, (0, 0)),
-                prizes=O3,
                 assessment=A3,
             )
 
     def test_outcome_rows_are_accepted(self):
         states = Frame(("s1", "s2"))
         p = DecisionProblem(
-            states=states,
             acts=("A",),
             outcome=[["o1", "o2"]],
             belief=DisbeliefFunction(states, (0, 0)),
-            prizes=O3,
             assessment=A3,
         )
         assert p.outcome == (("o1", "o2"),)
@@ -93,37 +82,39 @@ class TestProblemValidation:
         states = Frame(("s1",))
         with pytest.raises(UnknownAct, match="2 outcome rows for 1 acts"):
             DecisionProblem(
-                states=states,
                 acts=("A",),
                 outcome=(("o1",), ("o1",)),
                 belief=DisbeliefFunction(states, (0,)),
-                prizes=O3,
                 assessment=A3,
             )
 
     def test_no_acts_is_an_empty_list(self):
         states = Frame(("s1",))
         with pytest.raises(EmptyList):
-            DecisionProblem(states, (), (), DisbeliefFunction(states, (0,)), O3, A3)
+            DecisionProblem((), (), DisbeliefFunction(states, (0,)), A3)
 
-    def test_frames_and_prizes_must_line_up(self):
+    def test_states_and_prizes_come_from_belief_and_assessment(self):
+        p = ab_problem()
+        assert p.states is p.belief.frame
+        assert p.prizes is p.assessment.prizes
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ((("o1", "zz"), ("o1",)), UnknownPrize, "prize 'zz' is not in the prize set"),
+            ((("o1",), ("zz", "o1")), UnknownWorld,
+             "outcome row for 'A' has 1 entries, expected 2"),
+            ((("o1", "o2"), ("o1", "o2", "zz")), UnknownWorld,
+             "outcome row for 'B' has 3 entries, expected 2"),
+        ],
+        ids=["bad-label-then-short-row", "short-row-then-bad-label", "long-second-row"],
+    )
+    def test_rows_are_refused_in_act_order(self, rows, error, message):
+        # each row is checked for length, then labels, before the next row
         states = Frame(("s1", "s2"))
-        wrong_frame = DisbeliefFunction(Frame(("x", "y")), (0, 0))
-        with pytest.raises(FrameMismatch):
-            DecisionProblem(states, ("A",), (("o1", "o2"),), wrong_frame, O3, A3)
-        other_prizes = PrizeSet(("a", "b"))
-        other_assessment = PrizeAssessment.from_map(
-            other_prizes, {"a": (0, INF), "b": (INF, 0)}
-        )
-        with pytest.raises(PrizeSetMismatch):
-            DecisionProblem(
-                states,
-                ("A",),
-                (("o1", "o2"),),
-                DisbeliefFunction(states, (0, 0)),
-                O3,
-                other_assessment,
-            )
+        with pytest.raises(error) as caught:
+            DecisionProblem(("A", "B"), rows, DisbeliefFunction(states, (0, 1)), A3)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestActLottery:
@@ -134,11 +125,9 @@ class TestActLottery:
     def test_constant_act_is_prize_certainty(self):
         states = Frame(("s1", "s2"))
         p = DecisionProblem(
-            states,
             ("c",),
             (("o2", "o2"),),
             DisbeliefFunction(states, (0, 3)),
-            O3,
             A3,
         )
         assert act_lottery(p, "c") == prize_lottery("o2", O3)
@@ -146,11 +135,9 @@ class TestActLottery:
     def test_min_over_states_reaching_a_prize(self):
         states = Frame(("s1", "s2"))
         p = DecisionProblem(
-            states,
             ("A",),
             (("o1", "o1"),),
             DisbeliefFunction(states, (0, 2)),
-            O3,
             A3,
         )
         assert act_lottery(p, "A").deltas == (0, INF, INF)
@@ -169,9 +156,7 @@ class TestActLottery:
             outcome = tuple(
                 tuple(rng.choice(prizes.prizes) for _ in belief.frame) for _ in acts
             )
-            p = DecisionProblem(
-                belief.frame, acts, outcome, belief, prizes, assessment
-            )
+            p = DecisionProblem(acts, outcome, belief, assessment)
             for act in acts:
                 assert min(act_lottery(p, act).deltas) == 0
 
@@ -186,7 +171,7 @@ class TestActLottery:
             acts = tuple(f"a{i}" for i in range(rng.randint(1, 4)))
             reach = [rng.sample(prizes.prizes, rng.randint(1, len(prizes))) for _ in acts]
             outcome = tuple(tuple(rng.choice(r) for _ in belief.frame) for r in reach)
-            p = DecisionProblem(belief.frame, acts, outcome, belief, prizes, assessment)
+            p = DecisionProblem(acts, outcome, belief, assessment)
             for act, row in zip(acts, outcome):
                 direct = tuple(
                     min((v for q, v in zip(row, belief.potential) if q == prize), default=INF)
@@ -197,11 +182,9 @@ class TestActLottery:
     def test_prize_reached_only_by_impossible_states(self):
         states = Frame(("s1", "s2", "s3"))
         p = DecisionProblem(
-            states,
             ("A",),
             (("o1", "o3", "o1"),),
             DisbeliefFunction(states, (2, INF, 0)),
-            O3,
             A3,
         )
         assert act_lottery(p, "A").deltas == (0, INF, INF)
@@ -211,12 +194,12 @@ class TestActLottery:
         belief = DisbeliefFunction(states, (0, 1, 2, 3))
         rows = (("o1", "o2", "o3", "o1"), ("o1", "zz", "o2", "aa"))
         with pytest.raises(UnknownPrize) as caught:
-            DecisionProblem(states, ("A", "B"), rows, belief, O3, A3)
+            DecisionProblem(("A", "B"), rows, belief, A3)
         assert str(caught.value) == "prize 'zz' is not in the prize set"
         # a label that cannot even be hashed is reported the same way
         rows = (("o1", ["o2"], "o3", "o1"),)
         with pytest.raises(UnknownPrize) as caught:
-            DecisionProblem(states, ("A",), rows, belief, O3, A3)
+            DecisionProblem(("A",), rows, belief, A3)
         assert str(caught.value) == "prize ['o2'] is not in the prize set"
 
 
@@ -238,11 +221,9 @@ class TestRankings:
     def test_tied_acts_keep_input_order(self):
         states = Frame(("s1", "s2"))
         p = DecisionProblem(
-            states,
             ("X", "Y"),
             (("o1", "o2"), ("o1", "o2")),
             DisbeliefFunction(states, (0, 1)),
-            O3,
             A3,
         )
         assert [a for a, _ in rank_acts(p)] == ["X", "Y"]
@@ -250,13 +231,10 @@ class TestRankings:
 
     def test_top_act_stable_under_act_permutation(self):
         p = ab_problem()
-        states = p.states
         flipped = DecisionProblem(
-            states,
             ("B", "A"),
             (p.outcome[1], p.outcome[0]),
             p.belief,
-            p.prizes,
             p.assessment,
         )
         assert rank_acts(p)[0][0] == rank_acts(flipped)[0][0] == "A"
@@ -288,12 +266,10 @@ class TestDisagreementSearch:
         with pytest.raises(OutOfRange):
             find_maximin_disagreement(3, -1)
 
-    def test_search_bound_env_caps_enumeration(self, monkeypatch):
-        monkeypatch.setenv(SEARCH_BOUND_ENV, "10")
-        assert find_maximin_disagreement(3, 5) is None
-        monkeypatch.setenv(SEARCH_BOUND_ENV, "oops")
-        with pytest.raises(OutOfRange):
-            find_maximin_disagreement(3, 5)
+    def test_environment_does_not_bound_the_search(self, monkeypatch):
+        unset = find_maximin_disagreement(3, 5)
+        monkeypatch.setenv("KAPPA_SEARCH_BOUND", "0")
+        assert find_maximin_disagreement(3, 5) == unset
 
     def test_witness_construction_is_sound(self):
         # the returned problem's act lotteries really are the vectors the
@@ -311,12 +287,9 @@ class TestSearchAgainstExhaustiveScan:
     @pytest.mark.parametrize("r", [2, 3, 4])
     @pytest.mark.parametrize("delta", [0, 1, 2, 3])
     def test_same_problem_with_and_without_a_bound(self, monkeypatch, r, delta):
-        monkeypatch.delenv(SEARCH_BOUND_ENV, raising=False)
-        expected, g = scan_disagreement(r, delta)
+        # the arguments are the only bound: setting the retired
+        # KAPPA_SEARCH_BOUND variable changes nothing
+        expected = scan_disagreement(r, delta)
         assert find_maximin_disagreement(r, delta) == expected
-        for bound in (0, 10, g, g + 1):
-            monkeypatch.setenv(SEARCH_BOUND_ENV, str(bound))
-            found = find_maximin_disagreement(r, delta)
-            assert found == scan_disagreement(r, delta, bound)[0]
-            # the witness is the (g + 1)-th pair, so a bound of g just misses it
-            assert found == (expected if bound > g else None)
+        monkeypatch.setenv("KAPPA_SEARCH_BOUND", "0")
+        assert find_maximin_disagreement(r, delta) == expected

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,27 @@ class TestDeepAndSharedTrees:
         assert tree.reduce().deltas == (0, INF, 5)
         assert evaluate(tree, EQ3).pair() == (0, 5)
         assert tree.depth() == 61
+
+    def test_hash_is_linear_and_needs_no_recursion(self):
+        # hashing used to rehash every child: exponential on a shared DAG
+        # (22 levels took seconds) and a RecursionError on a deep chain
+        def dag():
+            tree = simple_node(O3, {"o1": 0, "o3": 5})
+            for _ in range(22):
+                tree = make_node([(0, tree), (3, tree)])
+            return tree
+
+        def chain():
+            tree = Leaf("o1", O3)
+            for _ in range(5_000):
+                tree = make_node([(0, tree), (1, Leaf("o3", O3))])
+            return tree
+
+        pairs = [(dag(), dag()), (chain(), chain())]
+        start = time.perf_counter()
+        for built, rebuilt in pairs:
+            assert hash(built) == hash(rebuilt)
+        assert time.perf_counter() - start < 1
 
 
 O5 = PrizeSet(("o1", "o2", "o3", "o4", "o5"))
