@@ -5,6 +5,9 @@
 Commands: validate, reduce, utility, rank, bridge.  Exit codes: 0 success,
 1 a value in the file violates a calculus invariant, 2 the file cannot be
 read or parsed, 3 an internal invariant broke (a bug, not bad input).
+
+Each command builds one result document with a `problemfile` emitter: `--json`
+prints it, and text mode prints lines read from its fields.
 """
 
 from __future__ import annotations
@@ -16,23 +19,22 @@ from typing import Optional
 
 from . import problemfile as pf
 from .decision import maximin_rank, rank_acts
-from .degrees import format_degree, format_signed
 from .errors import KappaCalcError, ParseError
-from .lottery import SimpleLottery
 from .oom_bridge import EpsilonBase, order_agreement, spohnian_from_prob
 from .problemfile import ProblemFile
-from .utility import UtilityValue, evaluate, scalar_utility
+from .utility import evaluate
 
 
-def format_simple(lottery: SimpleLottery) -> str:
-    """One line of prize:delta pairs, e.g. ``o1:4 o2:0 o3:0``."""
-    return " ".join(
-        f"{p}:{format_degree(d)}" for p, d in zip(lottery.prizes, lottery.deltas)
-    )
+def _lines(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
-def format_value(value: UtilityValue) -> str:
-    return f"({format_degree(value.toward_best)}, {format_degree(value.toward_worst)})"
+def _pairs(doc: dict) -> str:  # a simple lottery document, e.g. "o1:4 o2:0 o3:inf"
+    return " ".join(f"{p}:{d}" for p, d in zip(doc["prizes"], doc["deltas"]))
+
+
+def _value(doc: dict) -> str:  # a utility document, e.g. "(0, inf)  u = +inf"
+    return "({}, {})  u = {}".format(*doc["value"], doc["scalar"])
 
 
 def _require(section, name: str, command: str):
@@ -43,48 +45,38 @@ def _require(section, name: str, command: str):
 
 def cmd_validate(text: str, json_mode: bool = False) -> tuple[int, str]:
     """Check every section; exit 0 only when the document is clean."""
-    diagnostics = pf.validate_problem(text)
+    doc = pf.emit_diagnostics(pf.validate_problem(text))
+    code = 0 if doc["ok"] else 1
     if json_mode:
-        return (0 if not diagnostics else 1), pf.dumps(pf.emit_diagnostics(diagnostics))
-    if not diagnostics:
-        return 0, "ok\n"
-    return 1, "".join(f"{line}\n" for line in diagnostics)
+        return code, pf.dumps(doc)
+    return code, "ok\n" if doc["ok"] else _lines(*doc["diagnostics"])
 
 
 def cmd_reduce(problem: ProblemFile, json_mode: bool = False) -> str:
     lottery = _require(problem.lottery, "lottery", "reduce")
-    reduced = lottery.reduce()
-    if json_mode:
-        return pf.dumps(pf.emit_simple_lottery(reduced))
-    return format_simple(reduced) + "\n"
+    doc = pf.emit_simple_lottery(lottery.reduce())
+    return pf.dumps(doc) if json_mode else _lines(_pairs(doc))
 
 
 def cmd_utility(problem: ProblemFile, json_mode: bool = False) -> str:
     lottery = _require(problem.lottery, "lottery", "utility")
     assessment = _require(problem.assessment, "assessment", "utility")
-    value = evaluate(lottery, assessment)
-    if json_mode:
-        return pf.dumps(pf.emit_utility_value(value))
-    return f"{format_value(value)}  u = {format_signed(scalar_utility(value))}\n"
+    doc = pf.emit_utility_value(evaluate(lottery, assessment))
+    return pf.dumps(doc) if json_mode else _lines(_value(doc))
 
 
 def cmd_rank(problem: ProblemFile, json_mode: bool = False) -> str:
     decision = _require(problem.decision, "decision", "rank")
-    utility_order = rank_acts(decision)
-    maximin_order = maximin_rank(decision)
+    doc = pf.emit_ranking(rank_acts(decision), maximin_rank(decision), decision.prizes)
     if json_mode:
-        return pf.dumps(pf.emit_ranking(utility_order, maximin_order, decision.prizes))
-    lines = ["utility ranking:"]
-    for act, value in utility_order:
-        lines.append(
-            f"  {act} {format_value(value)}  u = {format_signed(scalar_utility(value))}"
-        )
-    lines.append("maximin ranking:")
-    for act, index in maximin_order:
-        lines.append(f"  {act} worst {decision.prizes.prizes[index]}")
-    disagree = utility_order[0][0] != maximin_order[0][0]
-    lines.append(f"disagreement: {'yes' if disagree else 'no'}")
-    return "".join(f"{line}\n" for line in lines)
+        return pf.dumps(doc)
+    return _lines(
+        "utility ranking:",
+        *[f"  {entry['act']} {_value(entry)}" for entry in doc["utility"]],
+        "maximin ranking:",
+        *[f"  {entry['act']} worst {entry['worst_prize']}" for entry in doc["maximin"]],
+        f"disagreement: {'yes' if doc['disagreement'] else 'no'}",
+    )
 
 
 def cmd_bridge(
@@ -94,16 +86,15 @@ def cmd_bridge(
     if epsilon is None:
         epsilon = problem.epsilon if problem.epsilon is not None else 10.0
     eps = EpsilonBase(epsilon)
-    converted = spohnian_from_prob(prob, eps)
-    report = order_agreement(prob, eps)
+    doc = pf.emit_bridge(spohnian_from_prob(prob, eps), order_agreement(prob, eps))
     if json_mode:
-        return pf.dumps(pf.emit_bridge(converted, report))
-    return (
-        f"spohnian: {format_simple(converted)}\n"
-        f"eu = {report.eu:.6g}\n"
-        f"kappa(eu) = {format_degree(report.kappa_of_eu)}\n"
-        f"qualitative = {format_degree(report.qualitative_eu)}\n"
-        f"gap = {report.gap}\n"
+        return pf.dumps(doc)
+    return _lines(
+        f"spohnian: {_pairs(doc['spohnian'])}",
+        f"eu = {doc['eu']:.6g}",
+        f"kappa(eu) = {doc['kappa_of_eu']}",
+        f"qualitative = {doc['qualitative_eu']}",
+        f"gap = {doc['gap']}",
     )
 
 

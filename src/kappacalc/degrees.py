@@ -1,14 +1,11 @@
 """Disbelief degrees: non-negative integers extended with infinity.
 
 A degree is a plain non-negative ``int`` or ``INF`` (``math.inf``).  Python
-integers are arbitrary precision, so finite addition is always exact; there
-is no machine word to wrap around.  ``INF`` saturates under addition
-(``INF + c == INF``) and is the identity's absorbing end under ``min``
-(``min(INF, c) == c``), which is exactly the arithmetic the calculus needs,
-so degrees are combined with the ordinary ``+`` and ``min`` operators.
-
-Belief values extend the same picture to signed integers with both
-infinities; `format_signed` prints them with "+inf" / "-inf".
+integers are arbitrary precision, so finite addition is always exact.  ``INF``
+saturates under addition (``INF + c == INF``) and is the identity of ``min``
+(``min(INF, c) == c``), which is exactly the arithmetic the calculus needs.
+Python's ``INF + c`` converts ``c`` to a float, which overflows past 1.8e308,
+so the library skips a sum with an ``INF`` addend instead of computing it.
 """
 
 from __future__ import annotations
@@ -64,15 +61,3 @@ def normalize_degrees(values: Iterable[object]) -> tuple[Degree, ...]:
     low = min(finite)
     return tuple([v if v == INF else v - low for v in vec])
 
-
-def format_degree(value: Degree) -> str:
-    return "inf" if value == INF else str(value)
-
-
-def format_signed(value: Signed) -> str:
-    """Signed integers with explicit-sign infinities, as the CLI prints them."""
-    if value == INF:
-        return "+inf"
-    if value == -INF:
-        return "-inf"
-    return str(value)

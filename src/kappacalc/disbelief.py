@@ -126,7 +126,7 @@ class DisbeliefFunction:
         """
         if other.frame != self.frame:
             raise FrameMismatch("combine needs both functions on the same frame")
-        raw = tuple(a + b for a, b in zip(self.potential, other.potential))
+        raw = [INF if INF in (a, b) else a + b for a, b in zip(self.potential, other.potential)]
         return DisbeliefFunction.from_raw(self.frame, raw)
 
     def marginalize(self, grouping: Mapping[str, str]) -> "DisbeliefFunction":
@@ -171,4 +171,5 @@ class DisbeliefFunction:
     def independent(self, event_a: Iterable[str], event_b: Iterable[str]) -> bool:
         """Whether two events' degrees compose additively over their intersection."""
         a, b = set(event_a), set(event_b)
-        return self.degree(a & b) == self.degree(a) + self.degree(b)
+        da, db = self.degree(a), self.degree(b)
+        return self.degree(a & b) == (INF if INF in (da, db) else da + db)

@@ -159,9 +159,10 @@ class Node:
                     mismatch = True  # raised once every branch has been type-checked
                     continue
                 if isinstance(child, Node):
-                    for j, s in enumerate(child.deltas):
-                        if (t := d + s) < acc[j]:
-                            acc[j] = t
+                    if d != INF:  # INF + s overflows for s past the float range
+                        for j, s in enumerate(child.deltas):
+                            if s < acc[j] and (t := d + s) < acc[j]:
+                                acc[j] = t
                     continue
             if d < acc[child.slot]:
                 acc[child.slot] = d

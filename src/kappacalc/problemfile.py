@@ -15,8 +15,9 @@ wrong types, missing keys), KappaCalcError for a well-shaped document
 whose values break a calculus invariant.  `validate_problem` collects the
 latter per section instead of stopping at the first.
 
-The emit_*/parse_* pairs below define the machine-readable output of each
-command; every pair round-trips exactly.
+The emit_*/parse_* pairs below define each command's result document, and
+every pair round-trips exactly.  `--json` prints the document and text mode
+reads its lines from it, so only this module spells a degree or a scalar.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .decision import DecisionProblem
-from .degrees import Degree, INF, format_signed
+from .degrees import Degree, INF
 from .disbelief import DisbeliefFunction, Frame
 from .errors import KappaCalcError, ParseError
 from .lottery import Leaf, Lottery, Node, PrizeSet, SimpleLottery
@@ -301,7 +302,7 @@ def emit_utility_value(value: UtilityValue) -> dict:
     scalar = scalar_utility(value)
     return {
         "value": [degree_to_json(value.toward_best), degree_to_json(value.toward_worst)],
-        "scalar": format_signed(scalar) if abs(scalar) == INF else int(scalar),
+        "scalar": "+inf" if scalar == INF else "-inf" if scalar == -INF else int(scalar),
     }
 
 
@@ -320,8 +321,6 @@ def emit_ranking(
     maximin_order: list[tuple[str, int]],
     prizes: PrizeSet,
 ) -> dict:
-    disagree = bool(utility_order and maximin_order
-                    and utility_order[0][0] != maximin_order[0][0])
     return {
         "utility": [
             {"act": act, **emit_utility_value(value)} for act, value in utility_order
@@ -330,7 +329,7 @@ def emit_ranking(
             {"act": act, "worst_index": index, "worst_prize": prizes.prizes[index]}
             for act, index in maximin_order
         ],
-        "disagreement": disagree,
+        "disagreement": utility_order[0][0] != maximin_order[0][0],
     }
 
 

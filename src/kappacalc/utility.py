@@ -155,10 +155,10 @@ def evaluate(lottery: Lottery | SimpleLottery, assessment: PrizeAssessment) -> U
     """
     if lottery.prizes != assessment.prizes:
         raise UnassessedPrize("the assessment does not cover this lottery's prize set")
-    deltas = lottery.reduce().deltas
-    return UtilityValue(
-        min(d + v.toward_best for d, v in zip(deltas, assessment.values)),
-        min(d + v.toward_worst for d, v in zip(deltas, assessment.values)),
+    terms = [(d, v) for d, v in zip(lottery.reduce().deltas, assessment.values) if d != INF]
+    return UtilityValue(  # INF terms set no minimum, and adding one may overflow
+        min([d + v.toward_best for d, v in terms if v.toward_best != INF], default=INF),
+        min([d + v.toward_worst for d, v in terms if v.toward_worst != INF], default=INF),
     )
 
 

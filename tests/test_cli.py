@@ -31,6 +31,10 @@ def data(name: str) -> str:
     return str(DATA / name)
 
 
+# the two ends of the scale: the best prize (0, inf), the worst (inf, 0)
+ENDS = {"o1": [0, "inf"], "o2": ["inf", 0]}
+
+
 class TestHumanOutput:
     def test_utility_earthquake(self, capsys):
         code, out, err = run("utility", path("earthquake.json"), capsys=capsys)
@@ -110,6 +114,28 @@ class TestHumanOutput:
     def test_validate_clean(self, capsys):
         code, out, _ = run("validate", path("earthquake.json"), capsys=capsys)
         assert (code, out) == (0, "ok\n")
+
+    @pytest.mark.parametrize("command, doc, expected", [
+        ("utility", {"prizes": ["o1", "o2"], "assessment": ENDS, "lottery": "o2"},
+         "(inf, 0)  u = -inf\n"),
+        ("rank", {"prizes": ["o1", "o2"], "assessment": ENDS,
+                  "decision": {"states": ["s"], "belief": [0], "acts": ["A", "B"],
+                               "outcome": {"A": ["o1"], "B": ["o2"]}}},
+         "utility ranking:\n"
+         "  A (0, inf)  u = +inf\n"
+         "  B (inf, 0)  u = -inf\n"
+         "maximin ranking:\n"
+         "  A worst o1\n"
+         "  B worst o2\n"
+         "disagreement: no\n"),
+        ("bridge", {"prizes": ["a", "b"], "prob_lottery": {"probs": [0, 1], "utils": [1, 0]}},
+         "spohnian: a:inf b:0\neu = 0\nkappa(eu) = inf\nqualitative = inf\ngap = 0\n"),
+    ], ids=["utility", "rank", "bridge"])
+    def test_infinite_spellings(self, capsys, tmp_path, command, doc, expected):
+        # degrees print "inf", the signed scalar "+inf" / "-inf"
+        f = tmp_path / "ends.json"
+        f.write_text(json.dumps(doc))
+        assert run(command, str(f), capsys=capsys) == (0, expected, "")
 
 
 class TestJsonOutput:
@@ -225,6 +251,38 @@ class TestExitCodes:
             for command, *flags in (["validate"], ["validate", "--json"], ["reduce"],
                                     ["utility"], ["rank"], ["bridge"], ["bridge", "--json"]):
                 assert run(command, str(f), *flags, capsys=capsys) == (2, "", message)
+
+    def test_degrees_past_the_float_range_are_exact(self, capsys, tmp_path):
+        # INF + 10**400 converts the int to a float and overflows; sums skip INF terms
+        big = 10**400
+        nested = {"prizes": ["o1", "o2"], "assessment": ENDS, "lottery": [
+            {"delta": 0, "child": "o1"},
+            {"delta": big, "child": [{"delta": 0, "child": "o2"}]}]}
+        belief = {"prizes": ["o1", "o2"], "assessment": ENDS, "decision": {
+            "states": ["s", "t"], "belief": [0, big], "acts": ["A", "B"],
+            "outcome": {"A": ["o1", "o2"], "B": ["o2", "o1"]}}}
+        unreached = {"prizes": ["o1", "o2", "o3"],
+                     "assessment": {"o1": [0, "inf"], "o2": [0, 5], "o3": [big, 0]},
+                     "lottery": [{"delta": 0, "child": "o1"}, {"delta": 3, "child": "o2"}]}
+        cases = [
+            (nested, "validate", (0, "ok\n", "")),
+            (nested, "reduce", (0, f"o1:0 o2:{big}\n", "")),
+            (nested, "utility", (0, f"(0, {big})  u = {big}\n", "")),
+            (nested, "rank", (2, "", "parse error: rank needs a decision section "
+                                     "in the problem file\n")),
+            (belief, "rank", (0, "utility ranking:\n"
+                                 f"  A (0, {big})  u = {big}\n"
+                                 f"  B ({big}, 0)  u = -{big}\n"
+                                 "maximin ranking:\n"
+                                 "  A worst o2\n"
+                                 "  B worst o2\n"
+                                 "disagreement: no\n", "")),
+            (unreached, "utility", (0, "(0, 8)  u = 8\n", "")),
+        ]
+        for doc, command, expected in cases:
+            f = tmp_path / "big.json"
+            f.write_text(json.dumps(doc))
+            assert run(command, str(f), capsys=capsys) == expected, command
 
 
 class TestEpsilonFlag:

@@ -5,12 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kappacalc import INF, normalize_degrees
-from kappacalc.degrees import (
-    check_degree,
-    format_degree,
-    format_signed,
-    is_degree,
-)
+from kappacalc.degrees import check_degree, is_degree
 from kappacalc.errors import AllInfinite, ParseError
 from kappacalc.problemfile import degree_from_json, emit_utility_value, parse_utility_value
 from kappacalc.utility import UtilityValue
@@ -61,12 +56,6 @@ def test_normalize_rejects_all_infinite():
         normalize_degrees((INF, INF))
 
 
-def test_degree_formatting():
-    assert format_degree(0) == "0"
-    assert format_degree(41) == "41"
-    assert format_degree(INF) == "inf"
-
-
 def test_degree_parsing_accepts_json_decoded_values():
     # a decoded document holds ints, with infinity spelled "inf"
     assert degree_from_json("inf", "here") == INF
@@ -77,9 +66,6 @@ def test_degree_parsing_accepts_json_decoded_values():
 
 
 def test_signed_text_round_trip():
-    assert format_signed(INF) == "+inf"
-    assert format_signed(-INF) == "-inf"
-    assert format_signed(-4) == "-4"
     # the JSON utility emit/parse pair carries the signed scalar beside its pair
     for pair, scalar in [((0, INF), "+inf"), ((INF, 0), "-inf"), ((4, 0), -4)]:
         doc = emit_utility_value(UtilityValue(*pair))

@@ -135,6 +135,12 @@ class TestCombine:
         right = DisbeliefFunction(W3, (1, 0, 4))
         assert left.combine(right).potential == (0, 1, INF)
 
+    def test_degrees_past_the_float_range(self):
+        # 10**400 + INF would convert the int to a float and overflow
+        left = DisbeliefFunction(W3, (0, 10**400, 0))
+        right = DisbeliefFunction(W3, (0, INF, 5))
+        assert left.combine(right).potential == (0, INF, 5)
+
     def test_frame_mismatch(self):
         other = DisbeliefFunction(Frame(("x", "y")), (0, 1))
         with pytest.raises(FrameMismatch):
@@ -228,3 +234,10 @@ class TestIndependence:
     def test_dependence(self):
         fn = DisbeliefFunction(W3, (0, 2, INF))
         assert not fn.independent(("a", "c"), ("b", "c"))
+
+    def test_degrees_past_the_float_range(self):
+        # disjoint events: the empty intersection is INF = 10**400 + INF
+        fn = DisbeliefFunction(W3, (0, 10**400, INF))
+        assert fn.independent(("b",), ("c",))
+        # exact: 10**400 != 10**400 + 10**400
+        assert not fn.independent(("b",), ("b", "c"))

@@ -130,6 +130,15 @@ class TestReduce:
             tree = random_lottery(rng, prizes, depth=4, max_branch=4)
             assert tree.reduce() == path_sum_reduce(tree)
 
+    def test_degrees_past_the_float_range(self):
+        # INF + 10**400 would convert the int to a float and overflow
+        big = 10**400
+        dead = simple_node(O3, {"o2": 0})  # (INF, 0, INF)
+        far = simple_node(O3, {"o2": big, "o3": 0})  # (INF, big, 0)
+        tree = make_node([(0, Leaf("o1", O3)), (big, dead), (INF, far)])
+        assert tree.reduce().deltas == (0, big, INF)
+        assert make_node([(0, tree), (big, far)]).reduce().deltas == (0, big, big)
+
     def test_reduce_normalized_even_with_inf_subtrees(self):
         # a subtree reachable only through an INF branch stays unreachable
         dead = simple_node(O3, {"o2": 0})

@@ -1,5 +1,7 @@
 """Checks on the package source itself."""
 
+import ast
+
 from conftest import REPO
 
 
@@ -11,3 +13,14 @@ def test_no_environment_knobs():
     knobs = [p.name for p in sources
              if any(k in p.read_text(encoding="utf-8") for k in ("os.environ", "getenv"))]
     assert knobs == []
+
+
+def test_only_problemfile_spells_infinity():
+    # text output prints the --json document, so no other module needs these strings
+    spellings = {"inf", "+inf", "-inf"}
+    holders = sorted(
+        p.name for p in (REPO / "src" / "kappacalc").glob("*.py")
+        if any(isinstance(node, ast.Constant) and node.value in spellings
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))
+    )
+    assert holders == ["problemfile.py"]

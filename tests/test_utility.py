@@ -158,6 +158,14 @@ class TestEvaluate:
         sl = SimpleLottery(O3, (0, INF, 5))
         assert evaluate(sl, A3) == UtilityValue(0, 5)
 
+    def test_degrees_past_the_float_range(self):
+        # 10**400 + INF would convert the int to a float and overflow
+        big = 10**400
+        assert evaluate(SimpleLottery(O3, (big, 0, big)), A3) == UtilityValue(0, 3)
+        wide = PrizeAssessment.from_map(O3, {"o1": (0, INF), "o2": (0, 3), "o3": (big, 0)})
+        assert evaluate(SimpleLottery(O3, (0, 1, INF)), wide) == UtilityValue(0, 4)
+        assert evaluate(SimpleLottery(O3, (INF, big, 0)), wide) == UtilityValue(big, 0)
+
     def test_prize_set_must_match(self):
         other = PrizeSet(("x", "y"))
         sl = SimpleLottery(other, (0, 1))
