@@ -27,7 +27,6 @@ from .lottery import (
     SimpleLottery,
     make_node,
     prize_lottery,
-    simple_node,
 )
 from .oom_bridge import (
     EpsilonBase,
@@ -42,7 +41,6 @@ from .oom_bridge import (
 from .utility import (
     PrizeAssessment,
     UtilityValue,
-    compare_standard,
     evaluate,
     scalar_utility,
     standard_equivalent,
@@ -65,12 +63,10 @@ __all__ = [
     "Node",
     "Lottery",
     "make_node",
-    "simple_node",
     "prize_lottery",
     "UtilityValue",
     "PrizeAssessment",
     "scalar_utility",
-    "compare_standard",
     "evaluate",
     "standard_equivalent",
     "DecisionProblem",

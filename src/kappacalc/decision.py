@@ -11,11 +11,10 @@ by their worst reachable prize.  The two rules genuinely disagree;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .degrees import Degree, INF, Signed
+from .degrees import Degree, Frozen, INF, Signed
 from .disbelief import DisbeliefFunction, Frame
 from .errors import DuplicateLabel, EmptyList, OutOfRange, UnknownAct, UnknownWorld
 from .lottery import PrizeSet, SimpleLottery
@@ -27,8 +26,7 @@ from .utility import (
 )
 
 
-@dataclass(frozen=True)
-class DecisionProblem:
+class DecisionProblem(Frozen):
     """An outcome table plus beliefs over states and assessed prizes.
 
     `outcome` holds one row of prize labels per act, in act order, each
@@ -38,25 +36,23 @@ class DecisionProblem:
     lottery in the same pass.
     """
 
-    acts: tuple[str, ...]
-    outcome: tuple[tuple[str, ...], ...]
-    belief: DisbeliefFunction
-    assessment: PrizeAssessment
-    _lotteries: tuple[SimpleLottery, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("acts", "outcome", "belief", "assessment")
+    __slots__ = (*_fields, "_lotteries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "acts", tuple(self.acts))
-        if not self.acts:
+    def __init__(self, acts: Iterable[str], outcome: Iterable[Iterable[str]],
+                 belief: DisbeliefFunction, assessment: PrizeAssessment):
+        acts = tuple(acts)
+        if not acts:
             raise EmptyList("a decision problem needs at least one act")
-        if len(set(self.acts)) != len(self.acts):
-            raise DuplicateLabel(f"act labels repeat: {self.acts!r}")
-        table = tuple(tuple(row) for row in self.outcome)
-        if len(table) != len(self.acts):
-            raise UnknownAct(f"{len(table)} outcome rows for {len(self.acts)} acts")
-        prizes = self.assessment.prizes
-        potential = self.belief.potential
+        if len(set(acts)) != len(acts):
+            raise DuplicateLabel(f"act labels repeat: {acts!r}")
+        table = tuple(tuple(row) for row in outcome)
+        if len(table) != len(acts):
+            raise UnknownAct(f"{len(table)} outcome rows for {len(acts)} acts")
+        prizes = assessment.prizes
+        potential = belief.potential
         lotteries = []
-        for act, row in zip(self.acts, table):
+        for act, row in zip(acts, table):
             if len(row) != len(potential):
                 raise UnknownWorld(
                     f"outcome row for {act!r} has {len(row)} entries, "
@@ -73,7 +69,7 @@ class DecisionProblem:
             # S1 on the belief guarantees some state has potential 0, so the
             # prize it reaches gets delta 0 and no renormalization is needed.
             lotteries.append(SimpleLottery(prizes, tuple(low.values())))
-        object.__setattr__(self, "outcome", table)
+        self._init(acts, table, belief, assessment)
         object.__setattr__(self, "_lotteries", tuple(lotteries))
 
     @property
@@ -128,9 +124,7 @@ def _scalar_ladder(max_delta: int) -> list[Signed]:
 
 
 def _value_for_scalar(s: Signed) -> UtilityValue:
-    if s >= 0:
-        return UtilityValue(0, s)
-    return UtilityValue(-s, 0)
+    return UtilityValue(0, s) if s >= 0 else UtilityValue(-s, 0)
 
 
 def _delta_vectors(r: int, max_delta: int) -> list[tuple[Degree, ...]]:
@@ -152,9 +146,7 @@ def _problem_from_vectors(
     act A's row recovers vector a and act B's recovers b after the min.
     """
     prizes = PrizeSet(tuple(f"o{i + 1}" for i in range(r)))
-    assessment = PrizeAssessment(
-        prizes, tuple(_value_for_scalar(s) for s in scalars)
-    )
+    assessment = PrizeAssessment(prizes, tuple(_value_for_scalar(s) for s in scalars))
     labels = []
     potential = []
     table_a = []
@@ -168,18 +160,10 @@ def _problem_from_vectors(
             table_a.append(prizes.prizes[i])
             table_b.append(prizes.prizes[j])
     belief = DisbeliefFunction(Frame(tuple(labels)), tuple(potential))
-    return DecisionProblem(
-        acts=("A", "B"),
-        outcome=(tuple(table_a), tuple(table_b)),
-        belief=belief,
-        assessment=assessment,
-    )
+    return DecisionProblem(("A", "B"), (tuple(table_a), tuple(table_b)), belief, assessment)
 
 
-def find_maximin_disagreement(
-    max_prizes: int,
-    max_delta: int,
-) -> Optional[DecisionProblem]:
+def find_maximin_disagreement(max_prizes: int, max_delta: int) -> Optional[DecisionProblem]:
     """Search two-act problems for a qualitative-vs-maximin disagreement.
 
     Returns the first problem, in a fixed enumeration order, where the
@@ -194,7 +178,8 @@ def find_maximin_disagreement(
         )
     for r in range(2, max_prizes + 1):
         vectors = _delta_vectors(r, max_delta)
-        worsts = [max(i for i, d in enumerate(v) if d != INF) for v in vectors]
+        prizes = PrizeSet(tuple(f"o{i + 1}" for i in range(r)))
+        worsts = [worst_prize_index(SimpleLottery(prizes, v)) for v in vectors]
         ladder = _scalar_ladder(max_delta)
         # Non-best prizes take any strictly decreasing scalar run; the
         # best prize is pinned to +INF by the assessment rule.

@@ -24,6 +24,46 @@ Degree = int | float
 Signed = int | float
 
 
+class Frozen:
+    """Base of the immutable value classes: `_fields` drive ==, hash and repr.
+
+    `__init__` sets each slot once; slots outside `_fields` are derived.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def is_degree(value: object) -> bool:
     """True for a non-negative int or ``INF``; bools do not count."""
     if isinstance(value, float) and math.isinf(value) and value > 0:

@@ -13,10 +13,9 @@ freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .degrees import Degree, INF, Signed, check_degrees, normalize_degrees
+from .degrees import Degree, Frozen, INF, Signed, check_degrees, normalize_degrees
 from .errors import (
     AllInfinite,
     ConditionOnDisbelievedCertainty,
@@ -29,18 +28,18 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Frozen):
     """An ordered set of distinct world labels; order fixes the indexing."""
 
-    worlds: tuple[str, ...]
+    __slots__ = _fields = ("worlds",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "worlds", tuple(self.worlds))
-        if not self.worlds:
+    def __init__(self, worlds: Iterable[str]):
+        worlds = tuple(worlds)
+        if not worlds:
             raise LengthMismatch("a frame needs at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
-            raise DuplicateLabel(f"frame labels repeat: {self.worlds!r}")
+        if len(set(worlds)) != len(worlds):
+            raise DuplicateLabel(f"frame labels repeat: {worlds!r}")
+        self._init(worlds)
 
     def __len__(self) -> int:
         return len(self.worlds)
@@ -66,8 +65,7 @@ class Frame:
         return tuple(i for i, w in enumerate(self.worlds) if w in members)
 
 
-@dataclass(frozen=True)
-class DisbeliefFunction:
+class DisbeliefFunction(Frozen):
     """A normalized disbelief potential over a frame.
 
     The constructor is strict: the potential must already satisfy S1
@@ -75,21 +73,19 @@ class DisbeliefFunction:
     vector by shifting.
     """
 
-    frame: Frame
-    potential: tuple[Degree, ...]
+    __slots__ = _fields = ("frame", "potential")
 
-    def __post_init__(self):
-        object.__setattr__(self, "potential", check_degrees(self.potential))
-        if len(self.potential) != len(self.frame):
-            raise LengthMismatch(
-                f"potential has {len(self.potential)} entries for {len(self.frame)} worlds"
-            )
-        finite = [v for v in self.potential if v != INF]
+    def __init__(self, frame: Frame, potential: Iterable[Degree]):
+        potential = check_degrees(potential)
+        if len(potential) != len(frame):
+            raise LengthMismatch(f"potential has {len(potential)} entries for {len(frame)} worlds")
+        finite = [v for v in potential if v != INF]
         if not finite:
             raise AllInfinite("potential is infinite everywhere")
         low = min(finite)
         if low != 0:
             raise NotNormalized(f"S1 violated: minimum degree is {low}, expected 0")
+        self._init(frame, potential)
 
     @classmethod
     def from_raw(cls, frame: Frame, values: Iterable[Degree]) -> "DisbeliefFunction":
@@ -98,10 +94,7 @@ class DisbeliefFunction:
 
     def degree(self, event: Iterable[str]) -> Degree:
         """Degree of disbelief of an event: min over members, INF if empty (S2)."""
-        idx = self.frame.indices(event)
-        if not idx:
-            return INF
-        return min(self.potential[i] for i in idx)
+        return min((self.potential[i] for i in self.frame.indices(event)), default=INF)
 
     def condition(self, event: Iterable[str]) -> "DisbeliefFunction":
         """Revise on an event (S3): outside worlds go to INF, inside shift down."""

@@ -72,7 +72,7 @@ class UnknownAct(KappaCalcError):
 
 
 class OutOfRange(KappaCalcError):
-    """A probability, utility, or base parameter is outside its domain."""
+    """A probability, utility, base parameter or degree is outside its domain."""
 
 
 class ParseError(Exception):

@@ -14,10 +14,9 @@ when it is built, from children already composed, so reduce reads the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
-from .degrees import Degree, INF, check_degree, check_degrees, normalize_degrees
+from .degrees import Degree, Frozen, INF, check_degree, check_degrees, normalize_degrees
 from .errors import (
     DuplicateLabel,
     EmptyBranches,
@@ -28,18 +27,18 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PrizeSet:
+class PrizeSet(Frozen):
     """Distinct prize labels in strict preference order, best first."""
 
-    prizes: tuple[str, ...]
+    __slots__ = _fields = ("prizes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "prizes", tuple(self.prizes))
-        if len(self.prizes) < 2:
+    def __init__(self, prizes: Iterable[str]):
+        prizes = tuple(prizes)
+        if len(prizes) < 2:
             raise LengthMismatch("a prize set needs at least two prizes")
-        if len(set(self.prizes)) != len(self.prizes):
-            raise DuplicateLabel(f"prize labels repeat: {self.prizes!r}")
+        if len(set(prizes)) != len(prizes):
+            raise DuplicateLabel(f"prize labels repeat: {prizes!r}")
+        self._init(prizes)
 
     def __len__(self) -> int:
         return len(self.prizes)
@@ -65,22 +64,19 @@ class PrizeSet:
         return self.prizes[-1]
 
 
-@dataclass(frozen=True)
-class SimpleLottery:
+class SimpleLottery(Frozen):
     """One disbelief degree per prize of the full prize set, minimum 0."""
 
-    prizes: PrizeSet
-    deltas: tuple[Degree, ...]
+    __slots__ = _fields = ("prizes", "deltas")
 
-    def __post_init__(self):
-        object.__setattr__(self, "deltas", check_degrees(self.deltas))
-        if len(self.deltas) != len(self.prizes):
-            raise LengthMismatch(
-                f"{len(self.deltas)} degrees for {len(self.prizes)} prizes"
-            )
-        low = min(self.deltas)
+    def __init__(self, prizes: PrizeSet, deltas: Iterable[Degree]):
+        deltas = check_degrees(deltas)
+        if len(deltas) != len(prizes):
+            raise LengthMismatch(f"{len(deltas)} degrees for {len(prizes)} prizes")
+        low = min(deltas)
         if low != 0:
             raise NotNormalized(f"S1 violated: minimum delta is {low}, expected 0")
+        self._init(prizes, deltas)
 
     @classmethod
     def from_raw(cls, prizes: PrizeSet, values: Iterable[Degree]) -> "SimpleLottery":
@@ -103,16 +99,16 @@ def prize_lottery(prize: str, prizes: PrizeSet) -> SimpleLottery:
     return SimpleLottery(prizes, tuple(0 if j == i else INF for j in range(len(prizes))))
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Frozen):
     """A bare prize at the bottom of a lottery tree; `slot` is its prize index."""
 
-    prize: str
-    prizes: PrizeSet
-    slot: int = field(init=False, compare=False, repr=False)
+    _fields = ("prize", "prizes")
+    __slots__ = (*_fields, "slot")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slot", self.prizes.index(self.prize))
+    def __init__(self, prize: str, prizes: PrizeSet):
+        object.__setattr__(self, "slot", prizes.index(prize))
+        object.__setattr__(self, "prize", prize)
+        object.__setattr__(self, "prizes", prizes)
 
     def depth(self) -> int:
         return 0
@@ -121,8 +117,7 @@ class Leaf:
         return prize_lottery(self.prize, self.prizes)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Frozen):
     """An internal tree node: (degree, sub-lottery) branches, min degree 0.
 
     Branches with INF degree are allowed (they are absorbed by the min),
@@ -132,12 +127,11 @@ class Node:
     the collapsed degree per prize, as the module docstring describes.
     """
 
-    branches: tuple[tuple[Degree, "Lottery"], ...]
-    prizes: PrizeSet = field(init=False, compare=False, repr=False)
-    deltas: tuple[Degree, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("branches",)
+    __slots__ = (*_fields, "prizes", "deltas")
 
-    def __post_init__(self):
-        branches = self.branches
+    def __init__(self, branches: Iterable[tuple[Degree, "Lottery"]]):
+        given = branches
         if type(branches) is not tuple:
             branches = tuple(branches)
         if not branches:
@@ -170,14 +164,52 @@ class Node:
             raise PrizeSetMismatch("branches draw prizes from different prize sets")
         if 0 not in acc:  # children are normalized, so min(acc) is the least branch degree
             raise NotNormalized(f"S1 violated: minimum branch delta is {min(acc)}, expected 0")
-        if loose or branches is not self.branches:  # list pairs or a non-tuple iterable
-            object.__setattr__(self, "branches", tuple([(d, c) for d, c in branches]))
+        if loose or branches is not given:  # list pairs or a non-tuple iterable
+            branches = tuple([(d, c) for d, c in branches])
+        object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "deltas", tuple(acc))
+
+    def __eq__(self, other):
+        """As the nested branch tuples compare, without recursion or a pair walked twice."""
+        if self is other:
+            return True
+        if other.__class__ is not Node:
+            return NotImplemented
+        seen, todo = set(), [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if len(a.branches) != len(b.branches):
+                return False
+            for (da, ca), (db, cb) in zip(a.branches, b.branches):
+                if da != db:
+                    return False
+                if type(ca) is Node and type(cb) is Node:
+                    todo.append((ca, cb))
+                elif ca != cb:
+                    return False
+        return True
 
     def __hash__(self):
         # equal branches compose to equal deltas, so this agrees with ==
         return hash(self.deltas)
+
+    def __repr__(self):
+        """The nested repr of the branch tuples, written out without recursion."""
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is not Node:
+                out.append(item if type(item) is str else repr(item))
+                continue
+            parts = ["Node(branches=("]
+            for i, (d, child) in enumerate(item.branches):
+                parts += [f"{', ' if i else ''}({d!r}, ", child, ")"]
+            todo += reversed([*parts, ",))" if len(item.branches) == 1 else "))"])
+        return "".join(out)
 
     def depth(self) -> int:
         """Nodes on the longest root-to-leaf path, counted level by level."""
@@ -199,13 +231,3 @@ Lottery = Union[Leaf, Node]
 def make_node(branches: Iterable[tuple[Degree, Lottery]]) -> Node:
     """Validated node constructor; accepts any iterable of (degree, child) pairs."""
     return Node(tuple(branches))
-
-
-def simple_node(prizes: PrizeSet, deltas: Mapping[str, Degree]) -> Node:
-    """Depth-1 tree over leaf prizes, from a prize -> degree mapping.
-
-    Prizes absent from the mapping get no branch at all (equivalently, INF
-    disbelief once reduced), which is how sparse lotteries like
-    ``[o1.0, o3.2]`` are written.
-    """
-    return Node([(d, Leaf(p, prizes)) for p, d in deltas.items()])

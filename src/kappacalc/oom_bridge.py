@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
-from .degrees import Degree, INF
+from .degrees import Degree, Frozen, INF
 from .errors import LengthMismatch, NotNormalized, OutOfRange
 from .lottery import PrizeSet, SimpleLottery
 
@@ -39,19 +38,17 @@ def _show(x: object) -> str:
         return f"an int of {x.bit_length()} bits"
 
 
-@dataclass(frozen=True)
-class EpsilonBase:
+class EpsilonBase(Frozen):
     """The base of the order-of-magnitude scale; any real > 1."""
 
-    epsilon: float = 10.0
+    __slots__ = _fields = ("epsilon",)
 
-    def __post_init__(self):
-        e = self.epsilon
-        if not isinstance(e, (int, float)) or isinstance(e, bool):
-            raise OutOfRange(f"epsilon must be a real number, got {e!r}")
-        if not 1 < e <= sys.float_info.max:  # exact for ints; false for NaN
-            raise OutOfRange(f"epsilon must be finite and > 1, got {_show(e)}")
-        object.__setattr__(self, "epsilon", float(e))
+    def __init__(self, epsilon: float = 10.0):
+        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
+            raise OutOfRange(f"epsilon must be a real number, got {epsilon!r}")
+        if not 1 < epsilon <= sys.float_info.max:  # exact for ints; false for NaN
+            raise OutOfRange(f"epsilon must be finite and > 1, got {_show(epsilon)}")
+        self._init(float(epsilon))
 
 
 Epsilon = Union[EpsilonBase, float, int]
@@ -115,8 +112,7 @@ def _real(x: object, what: str) -> float:
         raise OutOfRange(f"{what} out of [0, 1]: an int past the float range") from None
 
 
-@dataclass(frozen=True)
-class ProbLottery:
+class ProbLottery(Frozen):
     """A probability vector and normalized prize utilities, in prize order.
 
     Probabilities are non-negative and sum to 1 within 1e-9.  Utilities
@@ -124,37 +120,36 @@ class ProbLottery:
     best prize at exactly 1 and the worst at exactly 0.
     """
 
-    prizes: PrizeSet
-    probs: tuple[float, ...]
-    utils: tuple[float, ...]
+    __slots__ = _fields = ("prizes", "probs", "utils")
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple([_real(p, "probability") for p in self.probs]))
-        object.__setattr__(self, "utils", tuple([_real(u, "utility") for u in self.utils]))
-        r = len(self.prizes)
-        if len(self.probs) != r:
-            raise LengthMismatch(f"{len(self.probs)} probabilities for {r} prizes")
-        if len(self.utils) != r:
-            raise LengthMismatch(f"{len(self.utils)} utilities for {r} prizes")
-        for p in self.probs:
+    def __init__(self, prizes: PrizeSet, probs: Iterable[float], utils: Iterable[float]):
+        probs = tuple([_real(p, "probability") for p in probs])
+        utils = tuple([_real(u, "utility") for u in utils])
+        r = len(prizes)
+        if len(probs) != r:
+            raise LengthMismatch(f"{len(probs)} probabilities for {r} prizes")
+        if len(utils) != r:
+            raise LengthMismatch(f"{len(utils)} utilities for {r} prizes")
+        for p in probs:
             if math.isnan(p) or p < 0 or p > 1:
                 raise OutOfRange(f"probability out of [0, 1]: {p!r}")
-        total = math.fsum(self.probs)
+        total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
-        for u in self.utils:
+        for u in utils:
             if math.isnan(u) or u < 0 or u > 1:
                 raise OutOfRange(f"utility out of [0, 1]: {u!r}")
-        if self.utils[0] != 1.0:
-            raise OutOfRange(f"best prize utility must be 1, got {self.utils[0]!r}")
-        if self.utils[-1] != 0.0:
-            raise OutOfRange(f"worst prize utility must be 0, got {self.utils[-1]!r}")
-        for a, b in zip(self.utils, self.utils[1:]):
+        if utils[0] != 1.0:
+            raise OutOfRange(f"best prize utility must be 1, got {utils[0]!r}")
+        if utils[-1] != 0.0:
+            raise OutOfRange(f"worst prize utility must be 0, got {utils[-1]!r}")
+        for a, b in zip(utils, utils[1:]):
             if a < b:
                 raise OutOfRange(
                     f"utilities must weakly decrease along the prize order: "
                     f"{a!r} before {b!r}"
                 )
+        self._init(prizes, probs, utils)
 
 
 def spohnian_from_prob(lottery: ProbLottery, eps: Epsilon = 10.0) -> SimpleLottery:
@@ -172,8 +167,7 @@ def vnm_eu(lottery: ProbLottery) -> float:
     return math.fsum(p * u for p, u in zip(lottery.probs, lottery.utils))
 
 
-@dataclass(frozen=True)
-class OrderAgreement:
+class OrderAgreement(Frozen):
     """Both valuations of one lottery, and how far apart they landed.
 
     gap = kappa_of_eu - qualitative_eu.  When every positive-utility prize
@@ -181,10 +175,10 @@ class OrderAgreement:
     the valuations agree the lottery is worthless.
     """
 
-    kappa_of_eu: Degree
-    qualitative_eu: Degree
-    gap: int
-    eu: float
+    __slots__ = _fields = ("kappa_of_eu", "qualitative_eu", "gap", "eu")
+
+    def __init__(self, kappa_of_eu: Degree, qualitative_eu: Degree, gap: int, eu: float):
+        self._init(kappa_of_eu, qualitative_eu, gap, eu)
 
 
 def order_agreement(lottery: ProbLottery, eps: Epsilon = 10.0) -> OrderAgreement:

@@ -23,13 +23,13 @@ reads its lines from it, so only this module spells a degree or a scalar.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
 from typing import Any, Optional
 
 from .decision import DecisionProblem
-from .degrees import Degree, INF
+from .degrees import Degree, Frozen, INF
 from .disbelief import DisbeliefFunction, Frame
-from .errors import KappaCalcError, ParseError
+from .errors import KappaCalcError, OutOfRange, ParseError
 from .lottery import Leaf, Lottery, Node, PrizeSet, SimpleLottery
 from .oom_bridge import EpsilonBase, OrderAgreement, ProbLottery
 from .utility import PrizeAssessment, UtilityValue, scalar_utility
@@ -37,16 +37,16 @@ from .utility import PrizeAssessment, UtilityValue, scalar_utility
 KNOWN_SECTIONS = ("prizes", "assessment", "lottery", "decision", "prob_lottery", "notes")
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(Frozen):
     """The parsed sections of one problem document."""
 
-    prizes: PrizeSet
-    assessment: Optional[PrizeAssessment] = None
-    lottery: Optional[Lottery] = None
-    decision: Optional[DecisionProblem] = None
-    prob_lottery: Optional[ProbLottery] = None
-    epsilon: Optional[float] = None
+    __slots__ = _fields = ("prizes", "assessment", "lottery", "decision", "prob_lottery",
+                           "epsilon")
+
+    def __init__(self, prizes: PrizeSet, assessment: Optional[PrizeAssessment] = None,
+                 lottery: Optional[Lottery] = None, decision: Optional[DecisionProblem] = None,
+                 prob_lottery: Optional[ProbLottery] = None, epsilon: Optional[float] = None):
+        self._init(prizes, assessment, lottery, decision, prob_lottery, epsilon)
 
 
 def _reject_constant(name: str):
@@ -88,7 +88,12 @@ def degree_from_json(value: Any, where: str) -> Degree:
 
 
 def degree_to_json(value: Degree) -> Any:
-    return "inf" if value == INF else int(value)
+    if value == INF:
+        return "inf"
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, or before 3.10.7: no limit
+    if limit and value.bit_length() > 3 * limit and value >= 10**limit:  # 8**limit < 10**limit
+        raise OutOfRange(f"a degree of more than {limit} digits cannot be written")
+    return int(value)
 
 
 def _real_list(value: Any, where: str) -> list[float]:
@@ -169,6 +174,8 @@ def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
         else:
             node = Node(tuple(branches))
             if not stack:
+                for d in node.deltas:  # two long degrees on one path can sum past writing
+                    degree_to_json(d)
                 return node
             entries, _, branches, delta = stack.pop()
             branches.append((delta, node))
@@ -199,12 +206,7 @@ def _parse_decision(section: Any, assessment: Optional[PrizeAssessment]) -> Deci
                 f"decision.outcome[{act!r}]: {len(row)} entries for {len(states)} states"
             )
         rows.append(tuple(row))
-    return DecisionProblem(
-        acts=acts,
-        outcome=tuple(rows),
-        belief=DisbeliefFunction(states, potential),
-        assessment=assessment,
-    )
+    return DecisionProblem(acts, tuple(rows), DisbeliefFunction(states, potential), assessment)
 
 
 def _parse_prob_lottery(section: Any, prizes: PrizeSet) -> tuple[ProbLottery, Optional[float]]:
@@ -292,9 +294,7 @@ def emit_simple_lottery(lottery: SimpleLottery) -> dict:
 
 def parse_simple_lottery(doc: dict) -> SimpleLottery:
     prizes = PrizeSet(tuple(_string_list(_need(doc, "prizes", list, "lottery"), "prizes")))
-    deltas = tuple(
-        degree_from_json(v, "deltas") for v in _need(doc, "deltas", list, "lottery")
-    )
+    deltas = tuple(degree_from_json(v, "deltas") for v in _need(doc, "deltas", list, "lottery"))
     return SimpleLottery(prizes, deltas)
 
 

@@ -17,29 +17,27 @@ is the runtime checkpoint for that closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .degrees import Degree, INF, Signed, check_degree
+from .degrees import Degree, Frozen, INF, Signed, check_degree
 from .errors import InvalidAssessment, NotNormalized, UnassessedPrize
 from .lottery import Lottery, PrizeSet, SimpleLottery
 
 
-@dataclass(frozen=True)
-class UtilityValue:
+class UtilityValue(Frozen):
     """A degree pair on the scale proper: min(toward_best, toward_worst) == 0."""
 
-    toward_best: Degree
-    toward_worst: Degree
+    __slots__ = _fields = ("toward_best", "toward_worst")
 
-    def __post_init__(self):
-        check_degree(self.toward_best)
-        check_degree(self.toward_worst)
-        if min(self.toward_best, self.toward_worst) != 0:
+    def __init__(self, toward_best: Degree, toward_worst: Degree):
+        check_degree(toward_best)
+        check_degree(toward_worst)
+        if min(toward_best, toward_worst) != 0:
             raise NotNormalized(
-                f"({self.toward_best}, {self.toward_worst}) is off the utility scale: "
+                f"({toward_best}, {toward_worst}) is off the utility scale: "
                 "one component must be 0"
             )
+        self._init(toward_best, toward_worst)
 
     def pair(self) -> tuple[Degree, Degree]:
         return (self.toward_best, self.toward_worst)
@@ -54,37 +52,7 @@ def scalar_utility(value: UtilityValue) -> Signed:
     return value.toward_worst - value.toward_best
 
 
-def compare_standard(left: UtilityValue, right: UtilityValue) -> int:
-    """Order two scale values by the standard-lottery rule: -1, 0, or +1.
-
-    Strict preference holds in exactly three situations: both pairs sit on
-    the believing-the-best half-line and the left believes it more firmly;
-    the left is on the best half-line while the right has tipped toward the
-    worst; or both have tipped toward the worst and the left disbelieves
-    the best less firmly.  This is the case analysis itself, kept separate
-    from (and cross-checked against) the scalar order.
-    """
-    lb, lw = left.toward_best, left.toward_worst
-    rb, rw = right.toward_best, right.toward_worst
-
-    def beats(b1: Degree, w1: Degree, b2: Degree, w2: Degree) -> bool:
-        if b1 == 0 and b2 == 0 and w1 > w2:
-            return True
-        if b1 == 0 and b2 > 0:
-            return True
-        if b1 < b2 and w1 == 0 and w2 == 0:
-            return True
-        return False
-
-    if beats(lb, lw, rb, rw):
-        return 1
-    if beats(rb, rw, lb, lw):
-        return -1
-    return 0
-
-
-@dataclass(frozen=True)
-class PrizeAssessment:
+class PrizeAssessment(Frozen):
     """A standard-lottery value for every prize, consistent with preference.
 
     The best prize must be held with certainty, (0, INF).  Scalars must
@@ -95,31 +63,29 @@ class PrizeAssessment:
     carry any finite bottom value.
     """
 
-    prizes: PrizeSet
-    values: tuple[UtilityValue, ...]
+    __slots__ = _fields = ("prizes", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(self.prizes):
-            raise UnassessedPrize(
-                f"{len(self.values)} values for {len(self.prizes)} prizes"
-            )
-        for v in self.values:
+    def __init__(self, prizes: PrizeSet, values: Iterable[UtilityValue]):
+        values = tuple(values)
+        if len(values) != len(prizes):
+            raise UnassessedPrize(f"{len(values)} values for {len(prizes)} prizes")
+        for v in values:
             if not isinstance(v, UtilityValue):
                 raise InvalidAssessment(f"assessment entries must be scale values, got {v!r}")
-        top = self.values[0]
+        top = values[0]
         if top.pair() != (0, INF):
             raise InvalidAssessment(
-                f"{self.prizes.best} must map to (0,inf), got "
+                f"{prizes.best} must map to (0,inf), got "
                 f"({top.toward_best}, {top.toward_worst})"
             )
-        scalars = [scalar_utility(v) for v in self.values]
-        for p, q, a, b in zip(self.prizes, list(self.prizes)[1:], scalars, scalars[1:]):
+        scalars = [scalar_utility(v) for v in values]
+        for p, q, a, b in zip(prizes, list(prizes)[1:], scalars, scalars[1:]):
             if not a > b:
                 raise InvalidAssessment(
                     f"utilities must strictly decrease with preference: "
                     f"{p} has {a}, {q} has {b}"
                 )
+        self._init(prizes, values)
 
     @classmethod
     def from_map(

@@ -80,6 +80,15 @@ def random_lottery(
     return Node(tuple(zip(deltas, children)))
 
 
+def simple_node(prizes: PrizeSet, deltas: dict) -> Node:
+    """Depth-1 tree over leaf prizes, from a prize -> degree mapping.
+
+    Prizes absent from the mapping get no branch at all (INF disbelief once
+    reduced), which is how sparse lotteries like ``[o1.0, o3.2]`` are written.
+    """
+    return Node([(d, Leaf(p, prizes)) for p, d in deltas.items()])
+
+
 def random_potential(rng: random.Random, size: int = None, max_degree: int = 10) -> DisbeliefFunction:
     if size is None:
         size = rng.randint(1, 7)

@@ -4,15 +4,16 @@ Everything here deliberately avoids the library's recursive formulations:
 reduction and evaluation are computed by enumerating complete root-to-leaf
 paths (addition distributes over min, so the path expansion must agree),
 kappa is found by scanning exponents with exact rational arithmetic,
-never touching a logarithm, and the disagreement search compares every
-pair of candidate acts.
+never touching a logarithm, the utility order is the standard-lottery case
+analysis rather than a subtraction, and the disagreement search compares
+every pair of candidate acts.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from kappacalc import INF, Degree, Leaf, SimpleLottery
+from kappacalc import INF, Degree, Leaf, SimpleLottery, UtilityValue
 
 
 def _paths(lottery, acc=0):
@@ -53,6 +54,35 @@ def path_sum_evaluate(lottery, assessment) -> PathSum:
         first = min(first, total + value.toward_best)
         second = min(second, total + value.toward_worst)
     return PathSum(first, second)
+
+
+def compare_standard(left: UtilityValue, right: UtilityValue) -> int:
+    """Order two scale values by the standard-lottery rule: -1, 0, or +1.
+
+    Strict preference holds in exactly three situations: both pairs sit on
+    the believing-the-best half-line and the left believes it more firmly;
+    the left is on the best half-line while the right has tipped toward the
+    worst; or both have tipped toward the worst and the left disbelieves
+    the best less firmly.  This is the case analysis itself, checked against
+    the library's scalar order (`scalar_utility`).
+    """
+    lb, lw = left.toward_best, left.toward_worst
+    rb, rw = right.toward_best, right.toward_worst
+
+    def beats(b1: Degree, w1: Degree, b2: Degree, w2: Degree) -> bool:
+        if b1 == 0 and b2 == 0 and w1 > w2:
+            return True
+        if b1 == 0 and b2 > 0:
+            return True
+        if b1 < b2 and w1 == 0 and w2 == 0:
+            return True
+        return False
+
+    if beats(lb, lw, rb, rw):
+        return 1
+    if beats(rb, rw, lb, lw):
+        return -1
+    return 0
 
 
 def scan_kappa(p: Fraction, eps: Fraction):

@@ -18,7 +18,6 @@ from kappacalc import (
     SimpleLottery,
     UtilityValue,
     agreement_bound,
-    compare_standard,
     evaluate,
     find_maximin_disagreement,
     make_node,
@@ -26,7 +25,6 @@ from kappacalc import (
     order_agreement,
     rank_acts,
     scalar_utility,
-    simple_node,
     worst_prize_index,
 )
 from kappacalc import Leaf, Node, act_lottery
@@ -38,8 +36,10 @@ from conftest import (
     random_assessment,
     random_lottery,
     random_prizes,
+    simple_node,
     value_for_scalar,
 )
+from oracles import compare_standard
 
 
 def ok(n: int, label: str):
@@ -152,6 +152,7 @@ def test_criterion_4_substitutability():
 
 
 def test_criterion_5_order_isomorphism():
+    # the standard-lottery case analysis (an oracle) against the library's scalar order
     grid = [UtilityValue(0, y) for y in [*range(21), INF]]
     grid += [UtilityValue(x, 0) for x in [*range(1, 21), INF]]
     for u in grid:

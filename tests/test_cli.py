@@ -285,6 +285,36 @@ class TestExitCodes:
             assert run(command, str(f), capsys=capsys) == expected, command
 
 
+    def test_degree_sums_too_long_to_write_are_1(self, capsys, tmp_path):
+        # each degree decodes (4,300 digits), but a path sums two of them to 4,301
+        big = int("9" * 4300)
+        error = "OutOfRange: a degree of more than 4300 digits cannot be written"
+        inner = [{"delta": 0, "child": "o1"}, {"delta": big, "child": "o2"}]
+        summed = {"prizes": ["o1", "o2"], "assessment": ENDS, "lottery": [
+            {"delta": 0, "child": "o1"}, {"delta": big, "child": inner}]}
+        valued = {"prizes": ["o1", "o2", "o3"],
+                  "assessment": {"o1": [0, "inf"], "o2": [0, big], "o3": ["inf", 0]},
+                  "lottery": inner}
+        cases = [
+            (summed, ["validate"], (1, f"lottery: {error}\n", "")),
+            (summed, ["reduce"], (1, "", f"error: {error}\n")),
+            (summed, ["reduce", "--json"], (1, "", f"error: {error}\n")),
+            (summed, ["utility"], (1, "", f"error: {error}\n")),
+            # the lottery reduces to writable degrees; only its value sums past them
+            (valued, ["validate"], (0, "ok\n", "")),
+            (valued, ["reduce"], (0, f"o1:0 o2:{big} o3:inf\n", "")),
+            (valued, ["utility"], (1, "", f"error: {error}\n")),
+            (valued, ["utility", "--json"], (1, "", f"error: {error}\n")),
+        ]
+        for doc, argv, expected in cases:
+            f = tmp_path / "long.json"
+            f.write_text(json.dumps(doc))
+            assert run(argv[0], str(f), *argv[1:], capsys=capsys) == expected, argv
+        f.write_text(json.dumps(summed))
+        code, out, _ = run("validate", str(f), "--json", capsys=capsys)
+        assert (code, json.loads(out)) == (1, {"ok": False, "diagnostics": [f"lottery: {error}"]})
+
+
 class TestEpsilonFlag:
     def test_flag_overrides_file(self, capsys, tmp_path):
         doc = {
@@ -487,9 +517,10 @@ class TestEntryPoints:
         assert proc.stdout == "(1, 0)  u = -1\n"
 
     def test_import_builds_no_parser_and_loads_no_exact_arithmetic(self):
+        # dataclasses would pull in inspect, ast, dis and tokenize: a quarter of the start
         code = ("import sys, kappacalc.cli as cli; "
-                "print(sorted({'fractions', 'decimal'} & set(sys.modules)), "
-                "cli.build_parser.cache_info().currsize)")
+                "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} "
+                "& set(sys.modules)), cli.build_parser.cache_info().currsize)")
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

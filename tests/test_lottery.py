@@ -14,7 +14,6 @@ from kappacalc import (
     evaluate,
     make_node,
     prize_lottery,
-    simple_node,
 )
 from kappacalc.errors import (
     DuplicateLabel,
@@ -25,7 +24,7 @@ from kappacalc.errors import (
     UnknownPrize,
 )
 
-from conftest import random_lottery, random_prizes
+from conftest import random_lottery, random_prizes, simple_node
 from oracles import path_sum_evaluate, path_sum_reduce
 
 O3 = PrizeSet(("o1", "o2", "o3"))

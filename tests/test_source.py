@@ -15,6 +15,18 @@ def test_no_environment_knobs():
     assert knobs == []
 
 
+def test_no_source_imports_dataclasses():
+    # the value classes are plain slotted classes; importing dataclasses costs
+    # every CLI process about 25 ms
+    importers = sorted(
+        p.name for p in (REPO / "src" / "kappacalc").glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    )
+    assert importers == []
+
+
 def test_only_problemfile_spells_infinity():
     # text output prints the --json document, so no other module needs these strings
     spellings = {"inf", "+inf", "-inf"}

@@ -9,12 +9,10 @@ from kappacalc import (
     PrizeSet,
     SimpleLottery,
     UtilityValue,
-    compare_standard,
     evaluate,
     make_node,
     prize_lottery,
     scalar_utility,
-    simple_node,
     standard_equivalent,
 )
 from kappacalc.errors import (
@@ -23,8 +21,8 @@ from kappacalc.errors import (
     UnassessedPrize,
 )
 
-from conftest import random_assessment, random_lottery, random_prizes
-from oracles import path_sum_evaluate
+from conftest import random_assessment, random_lottery, random_prizes, simple_node
+from oracles import compare_standard, path_sum_evaluate
 
 O3 = PrizeSet(("o1", "o2", "o3"))
 A3 = PrizeAssessment.from_map(O3, {"o1": (0, INF), "o2": (0, 3), "o3": (INF, 0)})
