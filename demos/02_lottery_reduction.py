@@ -8,17 +8,17 @@ path that reaches it, where "cheap" adds degrees along the path and takes
 the minimum across paths.
 """
 
-from kappacalc import Leaf, PrizeSet, make_node
+from kappacalc import Leaf, Node, PrizeSet
 
 prizes = PrizeSet(("o1", "o2", "o3"))
 
 # Inner lotteries first.  [o1.0, o2.1] means: o1 not disbelieved,
 # o2 disbelieved to degree 1, o3 unreachable.
-left = make_node([(0, Leaf("o1", prizes)), (1, Leaf("o2", prizes))])
-right = make_node([(0, Leaf("o2", prizes)), (2, Leaf("o3", prizes))])
+left = Node([(0, Leaf("o1", prizes)), (1, Leaf("o2", prizes))])
+right = Node([(0, Leaf("o2", prizes)), (2, Leaf("o3", prizes))])
 
 # The compound lottery leans toward the right branch.
-tree = make_node([(4, left), (0, right)])
+tree = Node([(4, left), (0, right)])
 
 reduced = tree.reduce()
 print("reduced deltas:", dict(zip(prizes, reduced.deltas)))

@@ -64,6 +64,14 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def show(value: object) -> str:
+    """``repr(value)``, or the size of an int too long to write in decimal."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"an int of {value.bit_length()} bits"
+
+
 def is_degree(value: object) -> bool:
     """True for a non-negative int or ``INF``; bools do not count."""
     if isinstance(value, float) and math.isinf(value) and value > 0:
@@ -75,7 +83,7 @@ def check_degree(value: object) -> Degree:
     """Return ``value`` unchanged if it is a valid degree, else raise."""
     if is_degree(value):
         return value  # type: ignore[return-value]
-    raise TypeError(f"not a disbelief degree: {value!r} (need a non-negative int or INF)")
+    raise TypeError(f"not a disbelief degree: {show(value)} (need a non-negative int or INF)")
 
 
 def check_degrees(values: Iterable[object]) -> tuple[Degree, ...]:

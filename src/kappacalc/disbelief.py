@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .degrees import Degree, Frozen, INF, Signed, check_degrees, normalize_degrees
+from .degrees import Degree, Frozen, INF, Signed, check_degrees, normalize_degrees, show
 from .errors import (
     AllInfinite,
     ConditionOnDisbelievedCertainty,
@@ -46,9 +46,6 @@ class Frame(Frozen):
 
     def __iter__(self):
         return iter(self.worlds)
-
-    def __contains__(self, world: str) -> bool:
-        return world in self.worlds
 
     def index(self, world: str) -> int:
         try:
@@ -84,7 +81,7 @@ class DisbeliefFunction(Frozen):
             raise AllInfinite("potential is infinite everywhere")
         low = min(finite)
         if low != 0:
-            raise NotNormalized(f"S1 violated: minimum degree is {low}, expected 0")
+            raise NotNormalized(f"S1 violated: minimum degree is {show(low)}, expected 0")
         self._init(frame, potential)
 
     @classmethod

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .degrees import Degree, Frozen, INF, check_degree, check_degrees, normalize_degrees
+from .degrees import Degree, Frozen, INF, check_degree, check_degrees, normalize_degrees, show
 from .errors import (
     DuplicateLabel,
     EmptyBranches,
@@ -46,9 +46,6 @@ class PrizeSet(Frozen):
     def __iter__(self):
         return iter(self.prizes)
 
-    def __contains__(self, prize: str) -> bool:
-        return prize in self.prizes
-
     def index(self, prize: str) -> int:
         try:
             return self.prizes.index(prize)
@@ -75,15 +72,12 @@ class SimpleLottery(Frozen):
             raise LengthMismatch(f"{len(deltas)} degrees for {len(prizes)} prizes")
         low = min(deltas)
         if low != 0:
-            raise NotNormalized(f"S1 violated: minimum delta is {low}, expected 0")
+            raise NotNormalized(f"S1 violated: minimum delta is {show(low)}, expected 0")
         self._init(prizes, deltas)
 
     @classmethod
     def from_raw(cls, prizes: PrizeSet, values: Iterable[Degree]) -> "SimpleLottery":
         return cls(prizes, normalize_degrees(values))
-
-    def __getitem__(self, prize: str) -> Degree:
-        return self.deltas[self.prizes.index(prize)]
 
     def reachable(self) -> tuple[str, ...]:
         """Prizes with finite disbelief, in preference order."""
@@ -109,9 +103,6 @@ class Leaf(Frozen):
         object.__setattr__(self, "slot", prizes.index(prize))
         object.__setattr__(self, "prize", prize)
         object.__setattr__(self, "prizes", prizes)
-
-    def depth(self) -> int:
-        return 0
 
     def reduce(self) -> SimpleLottery:
         return prize_lottery(self.prize, self.prizes)
@@ -146,7 +137,7 @@ class Node(Frozen):
                 check_degree(d)
             if type(child) is not Leaf or child.prizes is not prizes:  # else a plain leaf, same set
                 if not isinstance(child, (Leaf, Node)):
-                    raise TypeError(f"branch child must be a lottery, got {child!r}")
+                    raise TypeError(f"branch child must be a lottery, got {show(child)}")
                 if prizes is None:
                     prizes, acc = child.prizes, [INF] * len(child.prizes)
                 if child.prizes is not prizes and child.prizes != prizes:
@@ -163,7 +154,7 @@ class Node(Frozen):
         if mismatch:
             raise PrizeSetMismatch("branches draw prizes from different prize sets")
         if 0 not in acc:  # children are normalized, so min(acc) is the least branch degree
-            raise NotNormalized(f"S1 violated: minimum branch delta is {min(acc)}, expected 0")
+            raise NotNormalized(f"S1 violated: minimum branch delta is {show(min(acc))}, expected 0")
         if loose or branches is not given:  # list pairs or a non-tuple iterable
             branches = tuple([(d, c) for d, c in branches])
         object.__setattr__(self, "branches", branches)
@@ -211,15 +202,6 @@ class Node(Frozen):
             todo += reversed([*parts, ",))" if len(item.branches) == 1 else "))"])
         return "".join(out)
 
-    def depth(self) -> int:
-        """Nodes on the longest root-to-leaf path, counted level by level."""
-        levels, frontier = 0, [self]
-        while frontier:
-            levels += 1
-            frontier = list({id(c): c for node in frontier for _, c in node.branches
-                             if isinstance(c, Node)}.values())
-        return levels
-
     def reduce(self) -> SimpleLottery:
         """The simple lottery this tree collapses to, composed at construction."""
         return SimpleLottery(self.prizes, self.deltas)
@@ -227,7 +209,4 @@ class Node(Frozen):
 
 Lottery = Union[Leaf, Node]
 
-
-def make_node(branches: Iterable[tuple[Degree, Lottery]]) -> Node:
-    """Validated node constructor; accepts any iterable of (degree, child) pairs."""
-    return Node(tuple(branches))
+make_node = Node  # the old name, kept until perfbench/run.py builds with Node (ROADMAP B)

@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Iterable, Union
 
-from .degrees import Degree, Frozen, INF
+from .degrees import Degree, Frozen, INF, show
 from .errors import LengthMismatch, NotNormalized, OutOfRange
 from .lottery import PrizeSet, SimpleLottery
 
@@ -31,13 +31,6 @@ _LOG_SNAP = math.log1p(1 / BOUNDARY_RTOL)
 _FLOAT_MARGIN = 2.0**-46
 
 
-def _show(x: object) -> str:
-    try:
-        return repr(x)
-    except ValueError:  # an int past sys.get_int_max_str_digits()
-        return f"an int of {x.bit_length()} bits"
-
-
 class EpsilonBase(Frozen):
     """The base of the order-of-magnitude scale; any real > 1."""
 
@@ -47,7 +40,7 @@ class EpsilonBase(Frozen):
         if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
             raise OutOfRange(f"epsilon must be a real number, got {epsilon!r}")
         if not 1 < epsilon <= sys.float_info.max:  # exact for ints; false for NaN
-            raise OutOfRange(f"epsilon must be finite and > 1, got {_show(epsilon)}")
+            raise OutOfRange(f"epsilon must be finite and > 1, got {show(epsilon)}")
         self._init(float(epsilon))
 
 
@@ -73,7 +66,7 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     if isinstance(p, bool) or not isinstance(p, (int, float)):
         raise OutOfRange(f"probability must be a real number, got {p!r}")
     if not 0 <= p <= 1:  # exact for ints; false for NaN
-        raise OutOfRange(f"probability must lie in [0, 1], got {_show(p)}")
+        raise OutOfRange(f"probability must lie in [0, 1], got {show(p)}")
     if p == 0:
         return INF
     if p == 1:

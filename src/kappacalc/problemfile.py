@@ -1,4 +1,4 @@
-"""Reading problem files and round-tripping command output.
+"""Reading problem files and writing command output.
 
 A problem file is one JSON document with a required `prizes` list (best
 first) and optional `assessment`, `lottery`, `decision`, and `prob_lottery`
@@ -15,9 +15,9 @@ wrong types, missing keys), KappaCalcError for a well-shaped document
 whose values break a calculus invariant.  `validate_problem` collects the
 latter per section instead of stopping at the first.
 
-The emit_*/parse_* pairs below define each command's result document, and
-every pair round-trips exactly.  `--json` prints the document and text mode
-reads its lines from it, so only this module spells a degree or a scalar.
+The emit_* functions below define each command's result document.  `--json`
+prints the document and text mode reads its lines from it, so only this
+module spells a degree or a scalar.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def _build_problem(text: str, collect: bool) -> tuple[Optional[ProblemFile], lis
 
 
 # ---------------------------------------------------------------------------
-# Command output: emitters and their inverse parsers.
+# Command output: one result document per command.
 
 def emit_simple_lottery(lottery: SimpleLottery) -> dict:
     return {
@@ -292,28 +292,12 @@ def emit_simple_lottery(lottery: SimpleLottery) -> dict:
     }
 
 
-def parse_simple_lottery(doc: dict) -> SimpleLottery:
-    prizes = PrizeSet(tuple(_string_list(_need(doc, "prizes", list, "lottery"), "prizes")))
-    deltas = tuple(degree_from_json(v, "deltas") for v in _need(doc, "deltas", list, "lottery"))
-    return SimpleLottery(prizes, deltas)
-
-
 def emit_utility_value(value: UtilityValue) -> dict:
     scalar = scalar_utility(value)
     return {
         "value": [degree_to_json(value.toward_best), degree_to_json(value.toward_worst)],
         "scalar": "+inf" if scalar == INF else "-inf" if scalar == -INF else int(scalar),
     }
-
-
-def parse_utility_value(doc: dict) -> UtilityValue:
-    pair = _need(doc, "value", list, "utility")
-    if len(pair) != 2:
-        raise ParseError("utility: value must be a [k1, kr] pair")
-    return UtilityValue(
-        degree_from_json(pair[0], "utility.value"),
-        degree_from_json(pair[1], "utility.value"),
-    )
 
 
 def emit_ranking(
@@ -333,24 +317,6 @@ def emit_ranking(
     }
 
 
-def parse_ranking(doc: dict) -> tuple[list[tuple[str, UtilityValue]], list[tuple[str, int]], bool]:
-    utility_order = [
-        (_need(entry, "act", str, "ranking"), parse_utility_value(entry))
-        for entry in _need(doc, "utility", list, "ranking")
-    ]
-    maximin_order = [
-        (
-            _need(entry, "act", str, "ranking"),
-            _need(entry, "worst_index", int, "ranking"),
-        )
-        for entry in _need(doc, "maximin", list, "ranking")
-    ]
-    flag = doc.get("disagreement")
-    if not isinstance(flag, bool):
-        raise ParseError("ranking: disagreement must be a boolean")
-    return utility_order, maximin_order, flag
-
-
 def emit_bridge(converted: SimpleLottery, report: OrderAgreement) -> dict:
     return {
         "spohnian": emit_simple_lottery(converted),
@@ -359,20 +325,6 @@ def emit_bridge(converted: SimpleLottery, report: OrderAgreement) -> dict:
         "gap": int(report.gap),
         "eu": report.eu,
     }
-
-
-def parse_bridge(doc: dict) -> tuple[SimpleLottery, OrderAgreement]:
-    converted = parse_simple_lottery(_need(doc, "spohnian", dict, "bridge"))
-    eu = doc.get("eu")
-    if isinstance(eu, bool) or not isinstance(eu, (int, float)):
-        raise ParseError("bridge: eu must be a number")
-    report = OrderAgreement(
-        kappa_of_eu=degree_from_json(doc.get("kappa_of_eu"), "bridge.kappa_of_eu"),
-        qualitative_eu=degree_from_json(doc.get("qualitative_eu"), "bridge.qualitative_eu"),
-        gap=_need(doc, "gap", int, "bridge"),
-        eu=float(eu),
-    )
-    return converted, report
 
 
 def emit_diagnostics(diagnostics: list[str]) -> dict:

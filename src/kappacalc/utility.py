@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .degrees import Degree, Frozen, INF, Signed, check_degree
+from .degrees import Degree, Frozen, INF, Signed, check_degree, show
 from .errors import InvalidAssessment, NotNormalized, UnassessedPrize
 from .lottery import Lottery, PrizeSet, SimpleLottery
 
@@ -34,7 +34,7 @@ class UtilityValue(Frozen):
         check_degree(toward_worst)
         if min(toward_best, toward_worst) != 0:
             raise NotNormalized(
-                f"({toward_best}, {toward_worst}) is off the utility scale: "
+                f"({show(toward_best)}, {show(toward_worst)}) is off the utility scale: "
                 "one component must be 0"
             )
         self._init(toward_best, toward_worst)
@@ -71,19 +71,19 @@ class PrizeAssessment(Frozen):
             raise UnassessedPrize(f"{len(values)} values for {len(prizes)} prizes")
         for v in values:
             if not isinstance(v, UtilityValue):
-                raise InvalidAssessment(f"assessment entries must be scale values, got {v!r}")
+                raise InvalidAssessment(f"assessment entries must be scale values, got {show(v)}")
         top = values[0]
         if top.pair() != (0, INF):
             raise InvalidAssessment(
                 f"{prizes.best} must map to (0,inf), got "
-                f"({top.toward_best}, {top.toward_worst})"
+                f"({show(top.toward_best)}, {show(top.toward_worst)})"
             )
         scalars = [scalar_utility(v) for v in values]
         for p, q, a, b in zip(prizes, list(prizes)[1:], scalars, scalars[1:]):
             if not a > b:
                 raise InvalidAssessment(
                     f"utilities must strictly decrease with preference: "
-                    f"{p} has {a}, {q} has {b}"
+                    f"{p} has {show(a)}, {q} has {show(b)}"
                 )
         self._init(prizes, values)
 

@@ -15,6 +15,7 @@ import pytest
 from kappacalc import cli
 
 from conftest import DATA, PROBLEMS, REPO
+from oracles import path_sum_reduce
 
 
 def run(*argv, capsys=None):
@@ -145,14 +146,14 @@ class TestJsonOutput:
         assert json.loads(out) == {"value": [1, 0], "scalar": -1}
 
     def test_reduce_round_trips(self, capsys):
-        from kappacalc.problemfile import parse_problem, parse_simple_lottery
+        from kappacalc.problemfile import emit_simple_lottery, parse_problem
 
         code, out, _ = run("reduce", path("random_depth3.json"), "--json", capsys=capsys)
         assert code == 0
-        parsed = parse_simple_lottery(json.loads(out))
+        doc = json.loads(out)
         source = parse_problem((PROBLEMS / "random_depth3.json").read_text())
-        assert parsed == source.lottery.reduce()
-        assert parsed.deltas == (2, 1, 0, 3)
+        assert doc == emit_simple_lottery(path_sum_reduce(source.lottery))
+        assert doc["deltas"] == [2, 1, 0, 3]
 
     def test_rank(self, capsys):
         code, out, _ = run("rank", path("ab_witness.json"), "--json", capsys=capsys)

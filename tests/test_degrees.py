@@ -4,10 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kappacalc import INF, normalize_degrees
+from kappacalc import (
+    INF,
+    DisbeliefFunction,
+    Frame,
+    Leaf,
+    Node,
+    PrizeAssessment,
+    PrizeSet,
+    SimpleLottery,
+    normalize_degrees,
+)
 from kappacalc.degrees import check_degree, is_degree
-from kappacalc.errors import AllInfinite, ParseError
-from kappacalc.problemfile import degree_from_json, emit_utility_value, parse_utility_value
+from kappacalc.errors import AllInfinite, InvalidAssessment, NotNormalized, ParseError
+from kappacalc.problemfile import degree_from_json, emit_utility_value
 from kappacalc.utility import UtilityValue
 
 degrees = st.one_of(st.integers(min_value=0, max_value=10**6), st.just(INF))
@@ -66,11 +76,40 @@ def test_degree_parsing_accepts_json_decoded_values():
 
 
 def test_signed_text_round_trip():
-    # the JSON utility emit/parse pair carries the signed scalar beside its pair
-    for pair, scalar in [((0, INF), "+inf"), ((INF, 0), "-inf"), ((4, 0), -4)]:
+    # the JSON utility document carries the signed scalar beside its pair
+    for pair, value, scalar in [((0, INF), [0, "inf"], "+inf"), ((INF, 0), ["inf", 0], "-inf"),
+                                ((4, 0), [4, 0], -4)]:
         doc = emit_utility_value(UtilityValue(*pair))
         assert doc["scalar"] == scalar
-        assert parse_utility_value(doc) == UtilityValue(*pair)
+        assert doc["value"] == value
+
+
+HUGE = 10**5000  # past sys.get_int_max_str_digits(), so repr and str raise ValueError
+AB = PrizeSet(("a", "b"))
+ABC = PrizeSet(("a", "b", "c"))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: check_degree(-HUGE), TypeError,
+     "not a disbelief degree: an int of 16610 bits (need a non-negative int or INF)"),
+    (lambda: Node(((0, Leaf("a", AB)), (-HUGE, Leaf("b", AB)))), TypeError,
+     "not a disbelief degree: an int of 16610 bits (need a non-negative int or INF)"),
+    (lambda: UtilityValue(HUGE, HUGE), NotNormalized,
+     "(an int of 16610 bits, an int of 16610 bits) is off the utility scale: "
+     "one component must be 0"),
+    (lambda: SimpleLottery(AB, (HUGE, HUGE)), NotNormalized,
+     "S1 violated: minimum delta is an int of 16610 bits, expected 0"),
+    (lambda: DisbeliefFunction(Frame(("x", "y")), (HUGE, HUGE)), NotNormalized,
+     "S1 violated: minimum degree is an int of 16610 bits, expected 0"),
+    (lambda: PrizeAssessment.from_map(ABC, {"a": (0, INF), "b": (0, HUGE), "c": (0, HUGE)}),
+     InvalidAssessment, "utilities must strictly decrease with preference: "
+     "b has an int of 16610 bits, c has an int of 16610 bits"),
+], ids=["check_degree", "Node", "UtilityValue", "SimpleLottery", "DisbeliefFunction",
+        "PrizeAssessment"])
+def test_messages_name_the_size_of_ints_too_long_to_write(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_inf_is_math_inf():

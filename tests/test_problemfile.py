@@ -18,11 +18,7 @@ from kappacalc.problemfile import (
     emit_ranking,
     emit_simple_lottery,
     emit_utility_value,
-    parse_bridge,
     parse_problem,
-    parse_ranking,
-    parse_simple_lottery,
-    parse_utility_value,
     validate_problem,
 )
 
@@ -307,42 +303,64 @@ class TestValidateCollection:
         assert any("skipped" in d for d in diags)
 
 
+def emitted(doc: dict) -> dict:
+    """The document as emitted, after checking it survives JSON text unchanged."""
+    assert json.loads(dumps(doc)) == doc
+    return doc
+
+
 class TestRoundTrips:
     def test_simple_lottery(self):
-        for sl in (
-            SimpleLottery(O3, (0, INF, 2)),
-            SimpleLottery(O3, (4, 0, 0)),
-        ):
-            assert parse_simple_lottery(emit_simple_lottery(sl)) == sl
+        assert emitted(emit_simple_lottery(SimpleLottery(O3, (0, INF, 2)))) == {
+            "prizes": ["o1", "o2", "o3"], "deltas": [0, "inf", 2]}
+        assert emitted(emit_simple_lottery(SimpleLottery(O3, (4, 0, 0)))) == {
+            "prizes": ["o1", "o2", "o3"], "deltas": [4, 0, 0]}
 
     def test_utility_value(self):
-        for v in (UtilityValue(0, INF), UtilityValue(INF, 0), UtilityValue(0, 0),
-                  UtilityValue(5, 0), UtilityValue(0, 12)):
-            assert parse_utility_value(emit_utility_value(v)) == v
+        for v, doc in [
+            (UtilityValue(0, INF), {"value": [0, "inf"], "scalar": "+inf"}),
+            (UtilityValue(INF, 0), {"value": ["inf", 0], "scalar": "-inf"}),
+            (UtilityValue(0, 0), {"value": [0, 0], "scalar": 0}),
+            (UtilityValue(5, 0), {"value": [5, 0], "scalar": -5}),
+            (UtilityValue(0, 12), {"value": [0, 12], "scalar": 12}),
+        ]:
+            assert emitted(emit_utility_value(v)) == doc
 
     def test_ranking(self):
         utility_order = [("A", UtilityValue(0, 5)), ("B", UtilityValue(0, 1))]
         maximin_order = [("B", 1), ("A", 2)]
-        doc = emit_ranking(utility_order, maximin_order, O3)
+        doc = emitted(emit_ranking(utility_order, maximin_order, O3))
         assert doc["disagreement"] is True
         assert doc["maximin"][0]["worst_prize"] == "o2"
-        parsed = parse_ranking(doc)
-        assert parsed == (utility_order, maximin_order, True)
+        assert doc == {
+            "utility": [
+                {"act": "A", "value": [0, 5], "scalar": 5},
+                {"act": "B", "value": [0, 1], "scalar": 1},
+            ],
+            "maximin": [
+                {"act": "B", "worst_index": 1, "worst_prize": "o2"},
+                {"act": "A", "worst_index": 2, "worst_prize": "o3"},
+            ],
+            "disagreement": True,
+        }
 
     def test_bridge_report(self):
-        converted = SimpleLottery(O3, (0, 1, 2))
-        report = OrderAgreement(0, 0, 0, 0.9450000000000001)
-        doc = emit_bridge(converted, report)
-        assert parse_bridge(doc) == (converted, report)
+        doc = emit_bridge(SimpleLottery(O3, (0, 1, 2)), OrderAgreement(0, 0, 0, 0.9450000000000001))
+        assert emitted(doc) == {
+            "spohnian": {"prizes": ["o1", "o2", "o3"], "deltas": [0, 1, 2]},
+            "kappa_of_eu": 0, "qualitative_eu": 0, "gap": 0, "eu": 0.9450000000000001,
+        }
 
     def test_round_trip_survives_serialization(self):
         # through actual JSON text, not just dict identity
         sl = SimpleLottery(O3, (0, INF, 7))
-        text = dumps(emit_simple_lottery(sl))
-        assert parse_simple_lottery(json.loads(text)) == sl
+        assert json.loads(dumps(emit_simple_lottery(sl))) == {
+            "prizes": ["o1", "o2", "o3"], "deltas": [0, "inf", 7]}
         report = OrderAgreement(2, 1, 1, 0.0123456789)
-        text = dumps(emit_bridge(sl, report))
-        assert parse_bridge(json.loads(text)) == (sl, report)
+        assert json.loads(dumps(emit_bridge(sl, report))) == {
+            "spohnian": {"prizes": ["o1", "o2", "o3"], "deltas": [0, "inf", 7]},
+            "kappa_of_eu": 2, "qualitative_eu": 1, "gap": 1, "eu": 0.0123456789,
+        }
 
     def test_dumps_is_canonical(self):
         text = dumps({"b": 1, "a": ["inf"]})
