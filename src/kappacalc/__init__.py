@@ -26,7 +26,6 @@ from .lottery import (
     PrizeSet,
     SimpleLottery,
     make_node,
-    prize_lottery,
 )
 from .oom_bridge import (
     EpsilonBase,
@@ -63,7 +62,6 @@ __all__ = [
     "Node",
     "Lottery",
     "make_node",
-    "prize_lottery",
     "UtilityValue",
     "PrizeAssessment",
     "scalar_utility",

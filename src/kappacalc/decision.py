@@ -14,7 +14,7 @@ import itertools
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .degrees import Degree, Frozen, INF, Signed
+from .degrees import Degree, Frozen, INF, Signed, show
 from .disbelief import DisbeliefFunction, Frame
 from .errors import DuplicateLabel, EmptyList, OutOfRange, UnknownAct, UnknownWorld
 from .lottery import PrizeSet, SimpleLottery
@@ -45,7 +45,7 @@ class DecisionProblem(Frozen):
         if not acts:
             raise EmptyList("a decision problem needs at least one act")
         if len(set(acts)) != len(acts):
-            raise DuplicateLabel(f"act labels repeat: {acts!r}")
+            raise DuplicateLabel(f"act labels repeat: {show(acts)}")
         table = tuple(tuple(row) for row in outcome)
         if len(table) != len(acts):
             raise UnknownAct(f"{len(table)} outcome rows for {len(acts)} acts")
@@ -55,7 +55,7 @@ class DecisionProblem(Frozen):
         for act, row in zip(acts, table):
             if len(row) != len(potential):
                 raise UnknownWorld(
-                    f"outcome row for {act!r} has {len(row)} entries, "
+                    f"outcome row for {show(act)} has {len(row)} entries, "
                     f"expected {len(potential)}"
                 )
             low = dict.fromkeys(prizes, INF)
@@ -85,7 +85,7 @@ def act_lottery(problem: DecisionProblem, act: str) -> SimpleLottery:
     """The simple lottery an act induces: per prize, min potential over
     the states that yield it; INF for prizes no state reaches."""
     if act not in problem.acts:
-        raise UnknownAct(f"{act!r} is not an act of this problem")
+        raise UnknownAct(f"{show(act)} is not an act of this problem")
     return problem._lotteries[problem.acts.index(act)]
 
 

@@ -51,11 +51,17 @@ class Frozen:
         return hash(self._key())
 
     def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        shown = ", ".join(f"{f}={show(getattr(self, f))}" for f in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __reduce__(self):  # pickle rebuilds through __init__
         return type(self), self._key()
+
+    def __copy__(self):  # immutable, so a copy is the value itself, as for tuples
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -65,7 +71,11 @@ class Frozen:
 
 
 def show(value: object) -> str:
-    """``repr(value)``, or the size of an int too long to write in decimal."""
+    """``repr(value)``, naming each int too long to write in decimal by its size."""
+    if type(value) is tuple:
+        return f"({show(value[0])},)" if len(value) == 1 else f"({', '.join(map(show, value))})"
+    if type(value) is list:
+        return f"[{', '.join(map(show, value))}]"
     try:
         return repr(value)
     except ValueError:  # an int past sys.get_int_max_str_digits()

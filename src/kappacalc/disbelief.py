@@ -38,7 +38,7 @@ class Frame(Frozen):
         if not worlds:
             raise LengthMismatch("a frame needs at least one world")
         if len(set(worlds)) != len(worlds):
-            raise DuplicateLabel(f"frame labels repeat: {worlds!r}")
+            raise DuplicateLabel(f"frame labels repeat: {show(worlds)}")
         self._init(worlds)
 
     def __len__(self) -> int:
@@ -47,18 +47,12 @@ class Frame(Frozen):
     def __iter__(self):
         return iter(self.worlds)
 
-    def index(self, world: str) -> int:
-        try:
-            return self.worlds.index(world)
-        except ValueError:
-            raise UnknownWorld(f"world {world!r} is not in the frame") from None
-
     def indices(self, event: Iterable[str]) -> tuple[int, ...]:
         """Indices of an event's worlds, in frame order; rejects strangers."""
         members = set(event)
         unknown = members - set(self.worlds)
         if unknown:
-            raise UnknownWorld(f"not in the frame: {sorted(unknown)!r}")
+            raise UnknownWorld(f"not in the frame: {show(sorted(unknown))}")
         return tuple(i for i, w in enumerate(self.worlds) if w in members)
 
 
@@ -66,8 +60,8 @@ class DisbeliefFunction(Frozen):
     """A normalized disbelief potential over a frame.
 
     The constructor is strict: the potential must already satisfy S1
-    (minimum exactly 0).  Use :meth:`from_raw` to repair an unnormalized
-    vector by shifting.
+    (minimum exactly 0).  Pass an unnormalized vector through
+    :func:`~kappacalc.degrees.normalize_degrees` to repair it by shifting.
     """
 
     __slots__ = _fields = ("frame", "potential")
@@ -83,11 +77,6 @@ class DisbeliefFunction(Frozen):
         if low != 0:
             raise NotNormalized(f"S1 violated: minimum degree is {show(low)}, expected 0")
         self._init(frame, potential)
-
-    @classmethod
-    def from_raw(cls, frame: Frame, values: Iterable[Degree]) -> "DisbeliefFunction":
-        """Normalize a raw potential (shift so the minimum is 0) and wrap it."""
-        return cls(frame, normalize_degrees(values))
 
     def degree(self, event: Iterable[str]) -> Degree:
         """Degree of disbelief of an event: min over members, INF if empty (S2)."""
@@ -117,7 +106,7 @@ class DisbeliefFunction(Frozen):
         if other.frame != self.frame:
             raise FrameMismatch("combine needs both functions on the same frame")
         raw = [INF if INF in (a, b) else a + b for a, b in zip(self.potential, other.potential)]
-        return DisbeliefFunction.from_raw(self.frame, raw)
+        return DisbeliefFunction(self.frame, normalize_degrees(raw))
 
     def marginalize(self, grouping: Mapping[str, str]) -> "DisbeliefFunction":
         """Coarsen the frame; each group's degree is the minimum over its preimage.
@@ -128,20 +117,15 @@ class DisbeliefFunction(Frozen):
         """
         unknown = set(grouping) - set(self.frame.worlds)
         if unknown:
-            raise UnknownWorld(f"grouping mentions unknown worlds: {sorted(unknown)!r}")
+            raise UnknownWorld(f"grouping mentions unknown worlds: {show(sorted(unknown))}")
         missing = [w for w in self.frame.worlds if w not in grouping]
         if missing:
-            raise IncompleteGrouping(f"no group for worlds: {missing!r}")
-        coarse: list[str] = []
-        lows: dict[str, Degree] = {}
+            raise IncompleteGrouping(f"no group for worlds: {show(missing)}")
+        lows: dict[str, Degree] = {}  # keeps first-appearance order
         for w, v in zip(self.frame.worlds, self.potential):
             label = grouping[w]
-            if label not in lows:
-                coarse.append(label)
-                lows[label] = v
-            else:
-                lows[label] = min(lows[label], v)
-        return DisbeliefFunction(Frame(tuple(coarse)), tuple(lows[c] for c in coarse))
+            lows[label] = min(lows.get(label, v), v)
+        return DisbeliefFunction(Frame(lows), lows.values())
 
     def belief(self, event: Iterable[str]) -> Signed:
         """Signed belief in an event.

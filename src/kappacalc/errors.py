@@ -77,10 +77,3 @@ class OutOfRange(KappaCalcError):
 
 class ParseError(Exception):
     """A problem file is syntactically or structurally malformed."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .degrees import Degree, Frozen, INF, check_degree, check_degrees, normalize_degrees, show
+from .degrees import Degree, Frozen, INF, check_degree, check_degrees, show
 from .errors import (
     DuplicateLabel,
     EmptyBranches,
@@ -37,7 +37,7 @@ class PrizeSet(Frozen):
         if len(prizes) < 2:
             raise LengthMismatch("a prize set needs at least two prizes")
         if len(set(prizes)) != len(prizes):
-            raise DuplicateLabel(f"prize labels repeat: {prizes!r}")
+            raise DuplicateLabel(f"prize labels repeat: {show(prizes)}")
         self._init(prizes)
 
     def __len__(self) -> int:
@@ -50,7 +50,7 @@ class PrizeSet(Frozen):
         try:
             return self.prizes.index(prize)
         except ValueError:
-            raise UnknownPrize(f"prize {prize!r} is not in the prize set") from None
+            raise UnknownPrize(f"prize {show(prize)} is not in the prize set") from None
 
     @property
     def best(self) -> str:
@@ -75,22 +75,12 @@ class SimpleLottery(Frozen):
             raise NotNormalized(f"S1 violated: minimum delta is {show(low)}, expected 0")
         self._init(prizes, deltas)
 
-    @classmethod
-    def from_raw(cls, prizes: PrizeSet, values: Iterable[Degree]) -> "SimpleLottery":
-        return cls(prizes, normalize_degrees(values))
-
     def reachable(self) -> tuple[str, ...]:
         """Prizes with finite disbelief, in preference order."""
         return tuple(p for p, d in zip(self.prizes, self.deltas) if d != INF)
 
     def reduce(self) -> "SimpleLottery":
         return self
-
-
-def prize_lottery(prize: str, prizes: PrizeSet) -> SimpleLottery:
-    """The simple lottery certain of one prize: 0 there, INF everywhere else."""
-    i = prizes.index(prize)
-    return SimpleLottery(prizes, tuple(0 if j == i else INF for j in range(len(prizes))))
 
 
 class Leaf(Frozen):
@@ -105,7 +95,10 @@ class Leaf(Frozen):
         object.__setattr__(self, "prizes", prizes)
 
     def reduce(self) -> SimpleLottery:
-        return prize_lottery(self.prize, self.prizes)
+        """The simple lottery certain of this prize: 0 there, INF everywhere else."""
+        deltas = [INF] * len(self.prizes)
+        deltas[self.slot] = 0
+        return SimpleLottery(self.prizes, deltas)
 
 
 class Node(Frozen):
@@ -122,9 +115,7 @@ class Node(Frozen):
     __slots__ = (*_fields, "prizes", "deltas")
 
     def __init__(self, branches: Iterable[tuple[Degree, "Lottery"]]):
-        given = branches
-        if type(branches) is not tuple:
-            branches = tuple(branches)
+        branches = tuple(branches)  # a tuple is returned as it is
         if not branches:
             raise EmptyBranches("a lottery node needs at least one branch")
         prizes = acc = None
@@ -155,7 +146,7 @@ class Node(Frozen):
             raise PrizeSetMismatch("branches draw prizes from different prize sets")
         if 0 not in acc:  # children are normalized, so min(acc) is the least branch degree
             raise NotNormalized(f"S1 violated: minimum branch delta is {show(min(acc))}, expected 0")
-        if loose or branches is not given:  # list pairs or a non-tuple iterable
+        if loose:  # some pair is a list
             branches = tuple([(d, c) for d, c in branches])
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "prizes", prizes)
@@ -194,11 +185,11 @@ class Node(Frozen):
         while todo:
             item = todo.pop()
             if type(item) is not Node:
-                out.append(item if type(item) is str else repr(item))
+                out.append(item if type(item) is str else show(item))
                 continue
             parts = ["Node(branches=("]
             for i, (d, child) in enumerate(item.branches):
-                parts += [f"{', ' if i else ''}({d!r}, ", child, ")"]
+                parts += [f"{', ' if i else ''}({show(d)}, ", child, ")"]
             todo += reversed([*parts, ",))" if len(item.branches) == 1 else "))"])
         return "".join(out)
 

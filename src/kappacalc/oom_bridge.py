@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Iterable, Union
 
-from .degrees import Degree, Frozen, INF, show
+from .degrees import Degree, Frozen, INF, normalize_degrees, show
 from .errors import LengthMismatch, NotNormalized, OutOfRange
 from .lottery import PrizeSet, SimpleLottery
 
@@ -142,6 +142,9 @@ class ProbLottery(Frozen):
                     f"utilities must weakly decrease along the prize order: "
                     f"{a!r} before {b!r}"
                 )
+        # a prize with p, u > 0 makes the min-plus side finite; kappa(eu) must be too
+        if not any([p * u for p, u in zip(probs, utils)]) and any(map(min, probs, utils)):
+            raise OutOfRange("expected utility underflows to 0, though a prize has p > 0 and u > 0")
         self._init(prizes, probs, utils)
 
 
@@ -152,7 +155,7 @@ def spohnian_from_prob(lottery: ProbLottery, eps: Epsilon = 10.0) -> SimpleLotte
     1/eps), so the vector is shifted back onto the scale afterwards.
     """
     kappas = [kappa_of(p, eps) for p in lottery.probs]
-    return SimpleLottery.from_raw(lottery.prizes, kappas)
+    return SimpleLottery(lottery.prizes, normalize_degrees(kappas))
 
 
 def vnm_eu(lottery: ProbLottery) -> float:
@@ -182,7 +185,7 @@ def order_agreement(lottery: ProbLottery, eps: Epsilon = 10.0) -> OrderAgreement
     carries the (bounded) disagreement between what remains.
     """
     eu = vnm_eu(lottery)
-    kappa_eu = kappa_of(eu, eps)
+    kappa_eu = kappa_of(min(eu, 1.0), eps)  # the sum tolerance lets eu pass 1 by 1e-9
     terms = [
         kappa_of(p, eps) + kappa_of(u, eps)
         for p, u in zip(lottery.probs, lottery.utils)

@@ -57,7 +57,7 @@ def _load_json(text: str) -> Any:
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
-        raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+        raise ParseError(f"{e.msg} (line {e.lineno}, column {e.colno})") from None
     except ValueError:  # int() refuses literals past sys.get_int_max_str_digits()
         raise ParseError("an integer literal has too many digits to decode") from None
     except RecursionError:

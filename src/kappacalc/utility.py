@@ -98,7 +98,7 @@ class PrizeAssessment(Frozen):
             prizes.index(p)
         missing = [p for p in prizes if p not in mapping]
         if missing:
-            raise UnassessedPrize(f"no value for prizes: {missing!r}")
+            raise UnassessedPrize(f"no value for prizes: {show(missing)}")
         values = []
         for p in prizes:
             v = mapping[p]

@@ -186,6 +186,47 @@ class TestJsonOutput:
         assert keys == sorted(keys)
 
 
+# every positive p*u underflows, so eu is 0.0 while the min-plus side is 400
+UNDERFLOW = {"prizes": ["o1", "o2", "o3"],
+             "prob_lottery": {"probs": [0, 1e-200, 1.0], "utils": [1, 1e-200, 0]}}
+# the 1e-9 sum tolerance lets eu reach 1.0000000005
+EU_PAST_ONE = {"prizes": ["o1", "o2", "o3"],
+               "prob_lottery": {"probs": [0.5, 0.5000000005, 0], "utils": [1, 1, 0]}}
+
+
+class TestBridgeEdges:
+    """Files that validate accepts, bridge runs; files it refuses, bridge refuses."""
+
+    def test_underflowing_eu_is_refused_by_validate_and_bridge(self, capsys, tmp_path):
+        f = tmp_path / "underflow.json"
+        f.write_text(json.dumps(UNDERFLOW))
+        refusal = "OutOfRange: expected utility underflows to 0, though a prize has p > 0 and u > 0"
+        assert run("validate", str(f), capsys=capsys) == (1, f"prob_lottery: {refusal}\n", "")
+        code, out, _ = run("validate", str(f), "--json", capsys=capsys)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "diagnostics": [f"prob_lottery: {refusal}"]}
+        for fmt in ((), ("--json",)):
+            assert run("bridge", str(f), *fmt, capsys=capsys) == (1, "", f"error: {refusal}\n")
+
+    def test_eu_past_one_by_the_sum_tolerance_is_class_0(self, capsys, tmp_path):
+        f = tmp_path / "past_one.json"
+        f.write_text(json.dumps(EU_PAST_ONE))
+        assert run("validate", str(f), capsys=capsys) == (0, "ok\n", "")
+        assert run("bridge", str(f), capsys=capsys) == (0, (
+            "spohnian: o1:0 o2:0 o3:inf\n"
+            "eu = 1\n"
+            "kappa(eu) = 0\n"
+            "qualitative = 0\n"
+            "gap = 0\n"
+        ), "")
+        code, out, _ = run("bridge", str(f), "--json", capsys=capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "spohnian": {"prizes": ["o1", "o2", "o3"], "deltas": [0, 0, "inf"]},
+            "kappa_of_eu": 0, "qualitative_eu": 0, "gap": 0, "eu": 0.5 + 0.5000000005,
+        }
+
+
 class TestExitCodes:
     def test_validation_failure_is_1(self, capsys):
         code, _, err = run("reduce", data("bad_unnormalized.json"), capsys=capsys)

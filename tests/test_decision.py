@@ -6,13 +6,13 @@ from kappacalc import (
     DecisionProblem,
     DisbeliefFunction,
     Frame,
+    Leaf,
     PrizeAssessment,
     PrizeSet,
     UtilityValue,
     act_lottery,
     find_maximin_disagreement,
     maximin_rank,
-    prize_lottery,
     rank_acts,
     scalar_utility,
     worst_prize_index,
@@ -130,7 +130,7 @@ class TestActLottery:
             DisbeliefFunction(states, (0, 3)),
             A3,
         )
-        assert act_lottery(p, "c") == prize_lottery("o2", O3)
+        assert act_lottery(p, "c") == Leaf("o2", O3).reduce()
 
     def test_min_over_states_reaching_a_prize(self):
         states = Frame(("s1", "s2"))
@@ -241,7 +241,7 @@ class TestRankings:
         assert maximin_rank(p)[0][0] == maximin_rank(flipped)[0][0] == "B"
 
     def test_worst_prize_index(self):
-        assert worst_prize_index(prize_lottery("o1", O3)) == 0
+        assert worst_prize_index(Leaf("o1", O3).reduce()) == 0
         assert worst_prize_index(act_lottery(ab_problem(), "A")) == 2
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kappacalc import (
     INF,
+    DecisionProblem,
     DisbeliefFunction,
     Frame,
     Leaf,
@@ -13,10 +14,20 @@ from kappacalc import (
     PrizeAssessment,
     PrizeSet,
     SimpleLottery,
+    act_lottery,
     normalize_degrees,
 )
-from kappacalc.degrees import check_degree, is_degree
-from kappacalc.errors import AllInfinite, InvalidAssessment, NotNormalized, ParseError
+from kappacalc.degrees import check_degree, is_degree, show
+from kappacalc.errors import (
+    AllInfinite,
+    DuplicateLabel,
+    InvalidAssessment,
+    NotNormalized,
+    ParseError,
+    UnknownAct,
+    UnknownPrize,
+    UnknownWorld,
+)
 from kappacalc.problemfile import degree_from_json, emit_utility_value
 from kappacalc.utility import UtilityValue
 
@@ -87,6 +98,12 @@ def test_signed_text_round_trip():
 HUGE = 10**5000  # past sys.get_int_max_str_digits(), so repr and str raise ValueError
 AB = PrizeSet(("a", "b"))
 ABC = PrizeSet(("a", "b", "c"))
+PAIR = "(an int of 16610 bits, an int of 16610 bits)"
+
+
+def one_act_problem():
+    assessment = PrizeAssessment.from_map(AB, {"a": (0, INF), "b": (INF, 0)})
+    return DecisionProblem(("x",), (("a",),), DisbeliefFunction(Frame(("s",)), (0,)), assessment)
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -104,12 +121,41 @@ ABC = PrizeSet(("a", "b", "c"))
     (lambda: PrizeAssessment.from_map(ABC, {"a": (0, INF), "b": (0, HUGE), "c": (0, HUGE)}),
      InvalidAssessment, "utilities must strictly decrease with preference: "
      "b has an int of 16610 bits, c has an int of 16610 bits"),
+    (lambda: PrizeSet((HUGE, HUGE)), DuplicateLabel, f"prize labels repeat: {PAIR}"),
+    (lambda: AB.index(HUGE), UnknownPrize, "prize an int of 16610 bits is not in the prize set"),
+    (lambda: Frame((HUGE, HUGE)), DuplicateLabel, f"frame labels repeat: {PAIR}"),
+    (lambda: Frame(("s",)).indices([HUGE]), UnknownWorld,
+     "not in the frame: [an int of 16610 bits]"),
+    (lambda: DecisionProblem((HUGE, HUGE), (), None, None), DuplicateLabel,
+     f"act labels repeat: {PAIR}"),
+    (lambda: act_lottery(one_act_problem(), HUGE), UnknownAct,
+     "an int of 16610 bits is not an act of this problem"),
 ], ids=["check_degree", "Node", "UtilityValue", "SimpleLottery", "DisbeliefFunction",
-        "PrizeAssessment"])
+        "PrizeAssessment", "PrizeSet", "PrizeSet.index", "Frame", "Frame.indices",
+        "DecisionProblem", "act_lottery"])
 def test_messages_name_the_size_of_ints_too_long_to_write(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+LEAF_B = "Leaf(prize='b', prizes=PrizeSet(prizes=('a', 'b')))"
+
+
+@pytest.mark.parametrize("value, text", [
+    (UtilityValue(0, HUGE), "UtilityValue(toward_best=0, toward_worst=an int of 16610 bits)"),
+    (Node(((0, Leaf("b", AB)), (HUGE, Leaf("b", AB)))),
+     f"Node(branches=((0, {LEAF_B}), (an int of 16610 bits, {LEAF_B})))"),
+    (SimpleLottery(AB, (0, HUGE)),
+     "SimpleLottery(prizes=PrizeSet(prizes=('a', 'b')), deltas=(0, an int of 16610 bits))"),
+], ids=["UtilityValue", "Node", "SimpleLottery"])
+def test_reprs_name_ints_too_long_to_write(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", [(), ("a",), ("a", 1), [], [INF, "b"], (("a", 2), [3]), "x"])
+def test_show_writes_what_repr_writes(value):
+    assert show(value) == repr(value)
 
 
 def test_inf_is_math_inf():

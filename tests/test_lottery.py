@@ -13,7 +13,7 @@ from kappacalc import (
     SimpleLottery,
     evaluate,
     make_node,
-    prize_lottery,
+    normalize_degrees,
 )
 from kappacalc.errors import (
     DuplicateLabel,
@@ -53,18 +53,18 @@ class TestSimpleLottery:
         with pytest.raises(NotNormalized, match="S1"):
             SimpleLottery(O3, (1, 2, 3))
 
-    def test_from_raw_normalizes(self):
-        sl = SimpleLottery.from_raw(O3, (4, 2, INF))
+    def test_normalize_degrees_repairs_s1(self):
+        sl = SimpleLottery(O3, normalize_degrees((4, 2, INF)))
         assert sl.deltas == (2, 0, INF)
 
     def test_lookup_and_reachability(self):
         sl = SimpleLottery(O3, (0, INF, 2))
         assert sl.reachable() == ("o1", "o3")
 
-    def test_prize_lottery(self):
-        assert prize_lottery("o2", O3).deltas == (INF, 0, INF)
+    def test_certain_lottery(self):
+        assert Leaf("o2", O3).reduce().deltas == (INF, 0, INF)
         with pytest.raises(UnknownPrize):
-            prize_lottery("zzz", O3)
+            Leaf("zzz", O3).reduce()
 
     def test_simple_node_round_trip(self):
         sl = SimpleLottery(O3, (0, 3, INF))
@@ -97,7 +97,7 @@ class TestTreeValidation:
 
 class TestReduce:
     def test_leaf_reduces_to_certainty(self):
-        assert Leaf("o1", O3).reduce() == prize_lottery("o1", O3)
+        assert Leaf("o1", O3).reduce() == SimpleLottery(O3, (0, INF, INF))
 
     def test_two_level_tree(self):
         # the worked two-level example: [[o1.4, o2.0, o3.0].0, [o1.0, o3.2].5]
@@ -117,7 +117,7 @@ class TestReduce:
     def test_degenerate_chain_accumulates(self):
         # single-branch nodes stack their (necessarily 0) degrees
         tree = make_node([(0, make_node([(0, Leaf("o2", O3))]))])
-        assert tree.reduce() == prize_lottery("o2", O3)
+        assert tree.reduce() == Leaf("o2", O3).reduce()
 
     def test_matches_path_oracle_on_random_trees(self, rng):
         for _ in range(300):

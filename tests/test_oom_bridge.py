@@ -233,6 +233,12 @@ class TestProbLottery:
     def test_sum_tolerance(self):
         ProbLottery(O2, (0.5, 0.5 + 5e-10), (1, 0))
 
+    def test_underflowing_expected_utility_is_refused(self):
+        with pytest.raises(OutOfRange, match="expected utility underflows to 0"):
+            ProbLottery(O3, (0, 1e-200, 1.0), (1, 1e-200, 0))
+        # one product underflows, but eu is positive: accepted
+        ProbLottery(O3, (0.5, 1e-200, 0.5), (1, 1e-200, 0))
+
 
 class TestConversion:
     def test_leading_zeros_example(self):
@@ -281,6 +287,11 @@ class TestAgreement:
         assert report.kappa_of_eu == INF
         assert report.qualitative_eu == INF
         assert report.gap == 0
+
+    def test_eu_past_one_by_the_sum_tolerance_is_class_0(self):
+        report = order_agreement(ProbLottery(O3, (0.5, 0.5 + 5e-10, 0), (1, 1, 0)))
+        assert report.eu > 1
+        assert (report.kappa_of_eu, report.qualitative_eu, report.gap) == (0, 0, 0)
 
     def test_gap_can_be_negative(self):
         # two equal contributions halve the expected utility's class

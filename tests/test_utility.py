@@ -11,7 +11,6 @@ from kappacalc import (
     UtilityValue,
     evaluate,
     make_node,
-    prize_lottery,
     scalar_utility,
     standard_equivalent,
 )
@@ -62,12 +61,12 @@ class TestMinPlusOps:
         st.randoms(use_true_random=False),
     )
     def test_add_distributes_over_min(self, prize, c, rng):
-        # the kernel's Node(p at 0, L at c) is min(prize_lottery(p), c + L), per prize
+        # the kernel's Node(p at 0, L at c) is min(Leaf(p).reduce(), c + L), per prize
         sub = random_lottery(rng, O3, depth=3, max_branch=4)
         node = make_node([(0, Leaf(prize, O3)), (c, sub)])
         expected = tuple(
             min(a, c + b)
-            for a, b in zip(prize_lottery(prize, O3).deltas, sub.reduce().deltas)
+            for a, b in zip(Leaf(prize, O3).reduce().deltas, sub.reduce().deltas)
         )
         assert node.reduce().deltas == expected
 

@@ -158,6 +158,13 @@ def test_deep_chains_compare_print_and_hash_without_recursion():
     assert x != z
 
 
+def test_deep_chain_copies_are_the_chain_itself():
+    x = chain(100_000, PrizeSet(("a", "b")))
+    start = time.perf_counter()
+    assert copy.deepcopy(x) is x and copy.copy(x) is x
+    assert time.perf_counter() - start < 1
+
+
 def test_deep_repr_matches_the_nested_form():
     o = PrizeSet(("a", "b"))
     tree = chain(3, o)
