@@ -4,8 +4,8 @@ kappa_of(p) counts the leading zeros of p in base epsilon: floor of
 -log_eps(p), closed on the right so that an exact power eps**-k maps to k,
 with p up to relative 1e-12 above a boundary (float noise) snapped onto it:
 floor(x + s) for x = -ln(p) / ln(eps), s = min(ln(1 + 1e-12) / ln(eps), 1).
-The float x + s decides the class unless it lies within its error margin of
-an integer; only there is the class certified exactly, on integer ratios.
+The float x + s decides the class unless it is within its error margin of an
+integer K: then one exact comparison picks K - 1 or K, up to POWER_BITS bits.
 
 The bridge then compares two ways of valuing a probabilistic lottery:
 kappa of its quantitative expected utility, versus the min-plus combination
@@ -29,6 +29,9 @@ _LOG_SNAP = math.log1p(1 / BOUNDARY_RTOL)
 # The float x + s is within 3.5 * 2**-52 of its value, relative (the logs are
 # within 1 ulp; 1e-12, the divisions and the sum round once each); 18x that:
 _FLOAT_MARGIN = 2.0**-46
+# Cap on K * bits(numerator of eps) in kappa_of's exact comparison: under it
+# x + s < 2**22, so its margin is below 2**-24 and the class is K - 1 or K.
+POWER_BITS = 2**22
 
 
 class EpsilonBase(Frozen):
@@ -38,7 +41,7 @@ class EpsilonBase(Frozen):
 
     def __init__(self, epsilon: float = 10.0):
         if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-            raise OutOfRange(f"epsilon must be a real number, got {epsilon!r}")
+            raise OutOfRange(f"epsilon must be a real number, got {show(epsilon)}")
         if not 1 < epsilon <= sys.float_info.max:  # exact for ints; false for NaN
             raise OutOfRange(f"epsilon must be finite and > 1, got {show(epsilon)}")
         self._init(float(epsilon))
@@ -59,12 +62,13 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     0 maps to INF, 1 to 0; otherwise k such that eps**-(k+1) < p <= eps**-k,
     but p <= eps**-(k+1) * (1 + 1e-12) counts as eps**-(k+1), class k+1.
     The float floor(x + s) of the module docstring decides unless x + s is
-    within 2**-46 * (x + s) of an integer.  There the class is certified
-    exactly: for p = n/d, eps = n_e/d_e, p <= eps**-j iff n*n_e**j <= d*d_e**j.
+    within 2**-46 * (x + s) of an integer K.  The class is then K - 1 or K,
+    and K iff p <= eps**-(K-1) and p <= eps**-K * (1 + 1e-12), compared on
+    integer ratios; OutOfRange if K * n_e.bit_length() exceeds POWER_BITS.
     """
     e = _epsilon_value(eps)
     if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise OutOfRange(f"probability must be a real number, got {p!r}")
+        raise OutOfRange(f"probability must be a real number, got {show(p)}")
     if not 0 <= p <= 1:  # exact for ints; false for NaN
         raise OutOfRange(f"probability must lie in [0, 1], got {show(p)}")
     if p == 0:
@@ -79,26 +83,21 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     margin = y * _FLOAT_MARGIN
     if margin < y - k < 1 - margin:
         return k
+    k = round(y)  # the integer within margin of y; not 0, as margin < y
     n, d = p.as_integer_ratio()
     n_e, d_e = e.as_integer_ratio()
-    k = max(math.floor(x), 0)
-    num, den = n * n_e**k, d * d_e**k  # the one power; each step reuses it
-    while num > den:  # p > eps**-k; p < 1 stops this at k = 0
-        k -= 1
-        num //= n_e
-        den //= d_e
-    while num * n_e <= den * d_e:  # p <= eps**-(k+1)
-        k += 1
-        num *= n_e
-        den *= d_e
-    if num * n_e * BOUNDARY_RTOL <= den * d_e * (BOUNDARY_RTOL + 1):
-        return k + 1
-    return k
+    if k * n_e.bit_length() > POWER_BITS:
+        raise OutOfRange(f"the class of probability {show(p)} at base {show(e)} "
+                         f"is too costly to certify: eps**{k} passes {POWER_BITS} bits")
+    num, den = n * n_e ** (k - 1), d * d_e ** (k - 1)
+    if num <= den and num * n_e * BOUNDARY_RTOL <= den * d_e * (BOUNDARY_RTOL + 1):
+        return k
+    return k - 1
 
 
 def _real(x: object, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise OutOfRange(f"{what} must be a real number, got {x!r}")
+        raise OutOfRange(f"{what} must be a real number, got {show(x)}")
     try:
         return float(x)
     except OverflowError:  # an int past the float range is outside [0, 1]

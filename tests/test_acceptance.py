@@ -5,6 +5,7 @@ reports the FAIL side); random suites are seeded so every run checks the
 same instances, and the timed suites assert their own runtime budgets.
 """
 
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,6 @@ from kappacalc import (
     ProbLottery,
     SimpleLottery,
     UtilityValue,
-    agreement_bound,
     evaluate,
     find_maximin_disagreement,
     make_node,
@@ -223,18 +223,24 @@ def test_criterion_7_two_prizes_never_disagree():
 
 
 def test_criterion_8_oom_agreement_bound():
+    # the paper's bound on |gap| for r prizes: ceil(log_eps r) + 1, where
+    # ceil(log_eps r) is the least m with eps**m >= r
     rng = random.Random(1008)
     start = time.perf_counter()
-    for _ in range(10000):
-        r = rng.randint(2, 6)
-        prizes = PrizeSet(tuple(f"p{i}" for i in range(r)))
-        raw = [rng.random() for _ in range(r)]
-        total = sum(raw)
-        probs = tuple(x / total for x in raw)
-        mids = sorted((rng.random() for _ in range(r - 2)), reverse=True)
-        utils = (1.0, *mids, 0.0)
-        report = order_agreement(ProbLottery(prizes, probs, utils))
-        assert abs(report.gap) <= agreement_bound(r), (probs, utils, report)
+    worst = 0.0
+    for eps in (10, 2, 1.5, 1.01):
+        for _ in range(10000):
+            r = rng.randint(2, 6)
+            prizes = PrizeSet(tuple(f"p{i}" for i in range(r)))
+            raw = [rng.random() for _ in range(r)]
+            total = sum(raw)
+            probs = tuple(x / total for x in raw)
+            mids = sorted((rng.random() for _ in range(r - 2)), reverse=True)
+            utils = (1.0, *mids, 0.0)
+            report = order_agreement(ProbLottery(prizes, probs, utils), eps)
+            bound = next(m for m in itertools.count() if eps**m >= r) + 1
+            assert abs(report.gap) <= bound, (eps, probs, utils, report)
+            worst = max(worst, abs(report.gap) / bound)
     elapsed = time.perf_counter() - start
     assert elapsed < 5, f"suite took {elapsed:.2f} s"
     # exact powers of the base with a unique minimizing exponent sum: gap 0
@@ -246,7 +252,8 @@ def test_criterion_8_oom_agreement_bound():
         PrizeSet(("a", "b", "c")), (0.25, 0.5, 0.25), (1.0, 0.0, 0.0)
     )
     assert order_agreement(quarters, 2).gap == 0
-    ok(8, f"10000 random lotteries, {elapsed:.2f} s; power fixtures exact")
+    ok(8, f"10000 random lotteries at each of 4 bases, max |gap|/bound {worst:.2f}, "
+          f"{elapsed:.2f} s; power fixtures exact")
 
 
 def test_criterion_9_kappa_core_axioms():

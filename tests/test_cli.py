@@ -5,6 +5,7 @@ import json
 import os
 import platform
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -225,6 +226,19 @@ class TestBridgeEdges:
             "spohnian": {"prizes": ["o1", "o2", "o3"], "deltas": [0, 0, "inf"]},
             "kappa_of_eu": 0, "qualitative_eu": 0, "gap": 0, "eu": 0.5 + 0.5000000005,
         }
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("name", ["bridge_powers.json", "bridge_leading_zeros.json"])
+    def test_class_too_costly_to_certify_is_exit_1(self, capsys, name, fmt):
+        # validate cannot see this: --epsilon overrides the file's base
+        start = time.perf_counter()
+        code, out, err = run("bridge", path(name), "--epsilon", "1.0000000000000002", *fmt,
+                             capsys=capsys)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: OutOfRange: the class of probability 0\.\d+ at base "
+                            r"1\.0000000000000002 is too costly to certify: "
+                            r"eps\*\*\d+ passes 4194304 bits\n", err)
 
 
 class TestExitCodes:

@@ -8,13 +8,16 @@ from kappacalc import (
     INF,
     DecisionProblem,
     DisbeliefFunction,
+    EpsilonBase,
     Frame,
     Leaf,
     Node,
     PrizeAssessment,
     PrizeSet,
+    ProbLottery,
     SimpleLottery,
     act_lottery,
+    kappa_of,
     normalize_degrees,
 )
 from kappacalc.degrees import check_degree, is_degree, show
@@ -24,6 +27,7 @@ from kappacalc.errors import (
     InvalidAssessment,
     NotNormalized,
     ParseError,
+    OutOfRange,
     UnknownAct,
     UnknownPrize,
     UnknownWorld,
@@ -130,9 +134,15 @@ def one_act_problem():
      f"act labels repeat: {PAIR}"),
     (lambda: act_lottery(one_act_problem(), HUGE), UnknownAct,
      "an int of 16610 bits is not an act of this problem"),
+    (lambda: kappa_of([HUGE]), OutOfRange,
+     "probability must be a real number, got [an int of 16610 bits]"),
+    (lambda: EpsilonBase([HUGE]), OutOfRange,
+     "epsilon must be a real number, got [an int of 16610 bits]"),
+    (lambda: ProbLottery(AB, [[HUGE], 1], [1, 0]), OutOfRange,
+     "probability must be a real number, got [an int of 16610 bits]"),
 ], ids=["check_degree", "Node", "UtilityValue", "SimpleLottery", "DisbeliefFunction",
         "PrizeAssessment", "PrizeSet", "PrizeSet.index", "Frame", "Frame.indices",
-        "DecisionProblem", "act_lottery"])
+        "DecisionProblem", "act_lottery", "kappa_of", "EpsilonBase", "ProbLottery"])
 def test_messages_name_the_size_of_ints_too_long_to_write(build, error, message):
     with pytest.raises(error) as caught:
         build()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kappacalc import oom_bridge
 from kappacalc import (
     INF,
     EpsilonBase,
@@ -199,17 +200,58 @@ class TestDecisionBand:
             for p in ulp_neighbours(q):
                 assert kappa_of(p, eps) == expected_kappa(p, eps), (p, eps)
 
+    def test_snap_wider_than_a_class_just_above_a_power(self):
+        # p is 5.6e-24 above eps**-15516, relative: x + s is within its margin of
+        # 15517, but p > eps**-15516 puts p in class floor(x) + 1 = 15516.  Only
+        # the test p <= eps**-(K-1) excludes K here (found by a search over bases)
+        p, eps = float.fromhex("0x1.ffffff80010e9p-1"), 1 + 4325 * 2**-52
+        n, d = p.as_integer_ratio()
+        n_e, d_e = eps.as_integer_ratio()
+        num, den = n * n_e**15515, d * d_e**15515
+        assert num * n_e > den * d_e and num <= den  # eps**-15516 < p <= eps**-15515
+        assert kappa_of(p, eps) == 15516
+
+
+def assert_unsnapped_class(p: float, eps: float, k: int):
+    # eps**-(k+1) * (1 + 1e-12) < p <= eps**-k, exactly
+    n, d = p.as_integer_ratio()
+    n_e, d_e = eps.as_integer_ratio()
+    num, den = n * n_e**k, d * d_e**k
+    assert num <= den and num * n_e * 10**12 > den * d_e * (10**12 + 1)
+
 
 class TestTimeBound:
     def test_deep_class_at_small_base(self):
         start = time.perf_counter()
         k = kappa_of(1e-300, 1.01)
         assert time.perf_counter() - start < 0.05
-        # eps**-(k+1) < p <= eps**-k and p is not snapped, exactly
-        n, d = (1e-300).as_integer_ratio()
-        n_e, d_e = (1.01).as_integer_ratio()
-        num, den = n * n_e**k, d * d_e**k
-        assert num <= den and num * n_e * 10**12 > den * d_e * (10**12 + 1)
+        assert_unsnapped_class(1e-300, 1.01, k)
+
+    def test_smallest_subnormal_at_small_base(self):
+        # certifying this class would need a 3.97M-bit power, under POWER_BITS
+        k = kappa_of(5e-324, 1.01)
+        assert_unsnapped_class(5e-324, 1.01, k)
+
+    def test_exact_power_at_small_base(self):
+        # on the exact path: a 3.2M-bit power
+        assert kappa_of(1.01**-60000, 1.01) == 60000
+
+    @pytest.mark.parametrize("p, eps", [(0.5, 1 + 2**-52), (0.3**250, 1 + 2**-40)])
+    def test_class_too_costly_to_certify_is_refused(self, p, eps):
+        # x + s is about 3e15 and 3e14, within its float margin of an integer
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match=r"^the class of probability .* is too costly "
+                                             r"to certify: eps\*\*\d+ passes 4194304 bits$"):
+            kappa_of(p, eps)
+        assert time.perf_counter() - start < 0.05
+
+    def test_power_bits_bounds_the_certified_class(self, monkeypatch):
+        # past k = 101 the snap of 2**-k is inside the float margin, so 2**-k takes
+        # the exact path; 2 is 2 bits long: 200 * 2 bits pass, 201 * 2 do not
+        monkeypatch.setattr(oom_bridge, "POWER_BITS", 400)
+        assert kappa_of(2.0**-200, 2) == 200
+        with pytest.raises(OutOfRange, match="eps\\*\\*201 passes 400 bits"):
+            kappa_of(2.0**-201, 2)
 
 
 class TestProbLottery:

@@ -16,6 +16,13 @@ def test_no_environment_knobs():
     assert knobs == []
 
 
+def test_source_parses_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10; the tests may run on a newer one
+    assert 'requires-python = ">=3.10"' in (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    for path in sorted((REPO / "src" / "kappacalc").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
+
+
 def test_no_source_imports_dataclasses():
     # the value classes are plain slotted classes; importing dataclasses costs
     # every CLI process about 25 ms
