@@ -3,10 +3,11 @@ From probabilities to disbelief degrees and back
 ================================================
 
 kappa_of(p) counts the leading zeros of p in base epsilon: the order of
-magnitude of its improbability.  Converting a probabilistic lottery this
-way and valuing it qualitatively lands close to, but not exactly on, the
-kappa of its quantitative expected utility.  The gap is bounded; the
-bridge reports it rather than hiding it.
+magnitude of its improbability.  order_agreement reads each probability of
+a lottery this way once, and returns the converted lottery beside both
+valuations.  Valuing the converted lottery qualitatively lands close to,
+but not exactly on, the kappa of its quantitative expected utility.  The
+gap is bounded; the bridge reports it rather than hiding it.
 """
 
 from kappacalc import (
@@ -16,7 +17,6 @@ from kappacalc import (
     agreement_bound,
     kappa_of,
     order_agreement,
-    spohnian_from_prob,
     vnm_eu,
 )
 
@@ -30,10 +30,8 @@ print("kappa(0.25, base 2) =", kappa_of(0.25, 2))
 prizes = PrizeSet(("win", "draw", "lose"))
 lottery = ProbLottery(prizes, probs=(0.9, 0.09, 0.01), utils=(1.0, 0.5, 0.0))
 
-spohnian = spohnian_from_prob(lottery)
-print("converted lottery:", dict(zip(prizes, spohnian.deltas)))
-
 report = order_agreement(lottery)
+print("converted lottery:", dict(zip(prizes, report.spohnian.deltas)))
 print(f"expected utility = {report.eu:.6g}")
 print("kappa(eu) =", report.kappa_of_eu)
 print("qualitative valuation =", report.qualitative_eu)

@@ -34,7 +34,6 @@ from .oom_bridge import (
     agreement_bound,
     kappa_of,
     order_agreement,
-    spohnian_from_prob,
     vnm_eu,
 )
 from .utility import (
@@ -77,7 +76,6 @@ __all__ = [
     "ProbLottery",
     "OrderAgreement",
     "kappa_of",
-    "spohnian_from_prob",
     "vnm_eu",
     "order_agreement",
     "agreement_bound",

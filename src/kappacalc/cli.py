@@ -20,7 +20,7 @@ from typing import Optional
 from . import problemfile as pf
 from .decision import maximin_rank, rank_acts
 from .errors import KappaCalcError, ParseError
-from .oom_bridge import EpsilonBase, order_agreement, spohnian_from_prob
+from .oom_bridge import EpsilonBase, order_agreement
 from .problemfile import ProblemFile
 from .utility import evaluate
 
@@ -85,8 +85,7 @@ def cmd_bridge(
     prob = _require(problem.prob_lottery, "prob_lottery", "bridge")
     if epsilon is None:
         epsilon = problem.epsilon if problem.epsilon is not None else 10.0
-    eps = EpsilonBase(epsilon)
-    doc = pf.emit_bridge(spohnian_from_prob(prob, eps), order_agreement(prob, eps))
+    doc = pf.emit_bridge(order_agreement(prob, EpsilonBase(epsilon)))
     if json_mode:
         return pf.dumps(doc)
     return _lines(
@@ -161,7 +160,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as e:  # pragma: no cover - reaching this is a bug
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -147,55 +147,47 @@ class ProbLottery(Frozen):
         self._init(prizes, probs, utils)
 
 
-def spohnian_from_prob(lottery: ProbLottery, eps: Epsilon = 10.0) -> SimpleLottery:
-    """Convert each probability to its kappa and renormalize.
-
-    The floor can leave every kappa positive (all probabilities below
-    1/eps), so the vector is shifted back onto the scale afterwards.
-    """
-    kappas = [kappa_of(p, eps) for p in lottery.probs]
-    return SimpleLottery(lottery.prizes, normalize_degrees(kappas))
-
-
 def vnm_eu(lottery: ProbLottery) -> float:
     """Quantitative expected utility: the probability-utility dot product."""
     return math.fsum(p * u for p, u in zip(lottery.probs, lottery.utils))
 
 
 class OrderAgreement(Frozen):
-    """Both valuations of one lottery, and how far apart they landed.
+    """The converted lottery, both valuations, and how far apart they landed.
 
     gap = kappa_of_eu - qualitative_eu.  When every positive-utility prize
     has probability 0 both sides are INF and the gap is 0 by convention:
     the valuations agree the lottery is worthless.
     """
 
-    __slots__ = _fields = ("kappa_of_eu", "qualitative_eu", "gap", "eu")
+    __slots__ = _fields = ("spohnian", "kappa_of_eu", "qualitative_eu", "gap", "eu")
 
-    def __init__(self, kappa_of_eu: Degree, qualitative_eu: Degree, gap: int, eu: float):
-        self._init(kappa_of_eu, qualitative_eu, gap, eu)
+    def __init__(self, spohnian: SimpleLottery, kappa_of_eu: Degree,
+                 qualitative_eu: Degree, gap: int, eu: float):
+        self._init(spohnian, kappa_of_eu, qualitative_eu, gap, eu)
 
 
 def order_agreement(lottery: ProbLottery, eps: Epsilon = 10.0) -> OrderAgreement:
-    """Compare kappa of the expected utility with the min-plus valuation.
+    """Convert the lottery by order of magnitude and compare its valuations.
 
-    Zero-utility prizes contribute nothing to the expected utility and an
-    INF term to the min, so they are excluded from both sides; the report
-    carries the (bounded) disagreement between what remains.
+    Each probability's kappa is read once and serves both results.  The
+    converted lottery shifts the kappas back onto the scale, since the floor
+    can leave every one positive (all probabilities below 1/eps).  The
+    min-plus valuation excludes zero-utility prizes, which contribute nothing
+    to the expected utility and an INF term to the min; the report carries
+    the (bounded) disagreement between what remains.
     """
+    kappas = [kappa_of(p, eps) for p in lottery.probs]
+    spohnian = SimpleLottery(lottery.prizes, normalize_degrees(kappas))
     eu = vnm_eu(lottery)
     kappa_eu = kappa_of(min(eu, 1.0), eps)  # the sum tolerance lets eu pass 1 by 1e-9
-    terms = [
-        kappa_of(p, eps) + kappa_of(u, eps)
-        for p, u in zip(lottery.probs, lottery.utils)
-        if u > 0
-    ]
+    terms = [k + kappa_of(u, eps) for k, u in zip(kappas, lottery.utils) if u > 0]
     qualitative = min(terms) if terms else INF
     if kappa_eu == INF and qualitative == INF:
         gap = 0
     else:
         gap = kappa_eu - qualitative
-    return OrderAgreement(kappa_eu, qualitative, int(gap), eu)
+    return OrderAgreement(spohnian, kappa_eu, qualitative, int(gap), eu)
 
 
 def agreement_bound(num_prizes: int, eps: Epsilon = 10.0) -> int:

@@ -97,8 +97,6 @@ def degree_to_json(value: Degree) -> Any:
 
 
 def _real_list(value: Any, where: str) -> list[float]:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list of numbers")
     out = []
     try:
         for x in value:
@@ -317,12 +315,12 @@ def emit_ranking(
     }
 
 
-def emit_bridge(converted: SimpleLottery, report: OrderAgreement) -> dict:
+def emit_bridge(report: OrderAgreement) -> dict:
     return {
-        "spohnian": emit_simple_lottery(converted),
+        "spohnian": emit_simple_lottery(report.spohnian),
         "kappa_of_eu": degree_to_json(report.kappa_of_eu),
         "qualitative_eu": degree_to_json(report.qualitative_eu),
-        "gap": int(report.gap),
+        "gap": report.gap,
         "eu": report.eu,
     }
 

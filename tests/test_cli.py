@@ -10,10 +10,11 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
-from kappacalc import cli
+from kappacalc import cli, oom_bridge
 
 from conftest import DATA, PROBLEMS, REPO
 from oracles import path_sum_reduce
@@ -557,6 +558,28 @@ def test_bridge_calls_do_not_grow_the_heap(tmp_path):
     # the first round refills the small freelists that gc.collect() emptied
     growth = blocks[-1] - blocks[0]
     assert growth < 200, f"{growth} blocks more after {3 * len(argvs)} bridge calls"
+
+
+def test_bridge_classifies_each_probability_once(monkeypatch, tmp_path, capsys):
+    # the converted lottery and the min-plus terms share one kappa per probability;
+    # probabilities, utilities and the expected utility 0.75 are all distinct
+    probs = [0.6, 0.3, 0.1]
+    f = tmp_path / "bridge.json"
+    f.write_text(json.dumps({"prizes": ["o1", "o2", "o3"],
+                             "prob_lottery": {"probs": probs, "utils": [1, 0.5, 0]}}))
+    calls = Counter()
+    original = oom_bridge.kappa_of
+
+    def counted(p, eps=10.0):
+        calls[p] += 1
+        return original(p, eps)
+
+    monkeypatch.setattr(oom_bridge, "kappa_of", counted)
+    for fmt in ((), ("--json",)):
+        calls.clear()
+        assert run("bridge", str(f), *fmt, capsys=capsys)[0] == 0
+        assert [calls[p] for p in probs] == [1, 1, 1]
+        assert calls[0.75] == 1
 
 
 class TestEntryPoints:

@@ -1,4 +1,4 @@
-"""Every narrative demo, and the README's library example, runs to completion."""
+"""Every narrative demo, and the README's library example, runs and prints its pinned output."""
 
 import os
 import subprocess
@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import REPO
+from conftest import DATA, REPO
 
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 
@@ -31,12 +31,12 @@ def test_readme_library_example_runs():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo):
+    # stdout is pinned byte for byte in tests/data/demo_stdout/<demo>.txt
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
-        text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (DATA / "demo_stdout" / f"{demo.stem}.txt").read_bytes()

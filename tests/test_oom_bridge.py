@@ -15,7 +15,6 @@ from kappacalc import (
     agreement_bound,
     kappa_of,
     order_agreement,
-    spohnian_from_prob,
     vnm_eu,
 )
 from kappacalc.errors import LengthMismatch, NotNormalized, OutOfRange
@@ -262,6 +261,8 @@ class TestProbLottery:
             ProbLottery(O2, (0.7, 0.2), (1, 0))
         with pytest.raises(OutOfRange):
             ProbLottery(O2, (1.2, -0.2), (1, 0))
+        with pytest.raises(OutOfRange, match=r"^utility out of \[0, 1\]: 1\.5$"):
+            ProbLottery(O3, (0.5, 0.3, 0.2), (1, 1.5, 0))
         with pytest.raises(OutOfRange, match="best"):
             ProbLottery(O2, (0.5, 0.5), (0.9, 0))
         with pytest.raises(OutOfRange, match="worst"):
@@ -285,22 +286,22 @@ class TestProbLottery:
 class TestConversion:
     def test_leading_zeros_example(self):
         lot = ProbLottery(O3, (0.9, 0.09, 0.01), (1, 0.5, 0))
-        assert spohnian_from_prob(lot).deltas == (0, 1, 2)
+        assert order_agreement(lot).spohnian.deltas == (0, 1, 2)
 
     def test_even_split(self):
         lot = ProbLottery(O2, (0.5, 0.5), (1, 0))
-        assert spohnian_from_prob(lot).deltas == (0, 0)
+        assert order_agreement(lot).spohnian.deltas == (0, 0)
 
     def test_certainty(self):
         lot = ProbLottery(O2, (1.0, 0.0), (1, 0))
-        assert spohnian_from_prob(lot).deltas == (0, INF)
+        assert order_agreement(lot).spohnian.deltas == (0, INF)
 
     def test_renormalizes_when_every_prob_is_small(self):
         # twelve prizes at 1/12 each: every kappa is 1, shifted back to 0
         prizes = PrizeSet(tuple(f"p{i}" for i in range(12)))
         utils = (1.0,) + tuple((11 - i) / 12 for i in range(1, 11)) + (0.0,)
         lot = ProbLottery(prizes, (1 / 12,) * 12, utils)
-        assert spohnian_from_prob(lot).deltas == (0,) * 12
+        assert order_agreement(lot).spohnian.deltas == (0,) * 12
 
 
 class TestVnm:
@@ -355,6 +356,8 @@ class TestAgreement:
             assert abs(report.gap) <= agreement_bound(r)
 
     def test_agreement_bound_values(self):
+        with pytest.raises(OutOfRange, match="^a lottery has at least 2 prizes, got 1$"):
+            agreement_bound(1)
         assert agreement_bound(2) == 2
         assert agreement_bound(6) == 2
         assert agreement_bound(11) == 3

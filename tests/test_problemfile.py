@@ -343,7 +343,7 @@ class TestRoundTrips:
         }
 
     def test_bridge_report(self):
-        doc = emit_bridge(SimpleLottery(O3, (0, 1, 2)), OrderAgreement(0, 0, 0, 0.9450000000000001))
+        doc = emit_bridge(OrderAgreement(SimpleLottery(O3, (0, 1, 2)), 0, 0, 0, 0.9450000000000001))
         assert emitted(doc) == {
             "spohnian": {"prizes": ["o1", "o2", "o3"], "deltas": [0, 1, 2]},
             "kappa_of_eu": 0, "qualitative_eu": 0, "gap": 0, "eu": 0.9450000000000001,
@@ -354,8 +354,8 @@ class TestRoundTrips:
         sl = SimpleLottery(O3, (0, INF, 7))
         assert json.loads(dumps(emit_simple_lottery(sl))) == {
             "prizes": ["o1", "o2", "o3"], "deltas": [0, "inf", 7]}
-        report = OrderAgreement(2, 1, 1, 0.0123456789)
-        assert json.loads(dumps(emit_bridge(sl, report))) == {
+        report = OrderAgreement(sl, 2, 1, 1, 0.0123456789)
+        assert json.loads(dumps(emit_bridge(report))) == {
             "spohnian": {"prizes": ["o1", "o2", "o3"], "deltas": [0, "inf", 7]},
             "kappa_of_eu": 2, "qualitative_eu": 1, "gap": 1, "eu": 0.0123456789,
         }

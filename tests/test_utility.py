@@ -117,6 +117,17 @@ class TestAssessment:
         with pytest.raises(UnassessedPrize):
             PrizeAssessment.from_map(O3, {"o1": (0, INF), "o3": (INF, 0)})
 
+    @pytest.mark.parametrize("values, error, message", [
+        ((UtilityValue(0, INF), UtilityValue(0, 1)), UnassessedPrize,
+         "2 values for 3 prizes"),
+        (((0, INF), (0, 1), (INF, 0)), InvalidAssessment,
+         "assessment entries must be scale values, got (0, inf)"),
+    ], ids=["one-value-too-few", "bare-pair"])
+    def test_constructor_refuses(self, values, error, message):
+        with pytest.raises(error) as caught:
+            PrizeAssessment(O3, values)
+        assert str(caught.value) == message
+
     def test_value_lookup(self):
         assert A3.value_of("o2") == UtilityValue(0, 3)
 

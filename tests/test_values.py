@@ -81,9 +81,10 @@ CASES = {
                     "EpsilonBase(epsilon=10.0)", ()),
     "ProbLottery": (prob_lottery, lambda: ProbLottery(prizes(), (1, 0, 0), (1, 0.5, 0)),
                     PL, ()),
-    "OrderAgreement": (lambda: OrderAgreement(1, 0, 1, 0.25),
-                       lambda: OrderAgreement(1, 0, 1, 0.5),
-                       "OrderAgreement(kappa_of_eu=1, qualitative_eu=0, gap=1, eu=0.25)", ()),
+    "OrderAgreement": (lambda: OrderAgreement(SimpleLottery(prizes(), (0, 1, INF)), 1, 0, 1, 0.25),
+                       lambda: OrderAgreement(SimpleLottery(prizes(), (0, 1, INF)), 1, 0, 1, 0.5),
+                       f"OrderAgreement(spohnian=SimpleLottery(prizes={P}, deltas=(0, 1, inf)), "
+                       "kappa_of_eu=1, qualitative_eu=0, gap=1, eu=0.25)", ()),
     "ProblemFile": (lambda: ProblemFile(prizes(), assessment(), node(), decision(),
                                         prob_lottery(), 2.0),
                     lambda: ProblemFile(prizes()),
