@@ -21,12 +21,7 @@ from . import problemfile as pf
 from .decision import maximin_rank, rank_acts
 from .errors import KappaCalcError, ParseError
 from .oom_bridge import EpsilonBase, order_agreement
-from .problemfile import ProblemFile
 from .utility import evaluate
-
-
-def _lines(*lines: str) -> str:
-    return "".join(f"{line}\n" for line in lines)
 
 
 def _pairs(doc: dict) -> str:  # a simple lottery document, e.g. "o1:4 o2:0 o3:inf"
@@ -37,64 +32,53 @@ def _value(doc: dict) -> str:  # a utility document, e.g. "(0, inf)  u = +inf"
     return "({}, {})  u = {}".format(*doc["value"], doc["scalar"])
 
 
-def _require(section, name: str, command: str):
-    if section is None:
-        raise ParseError(f"{command} needs a {name} section in the problem file")
-    return section
+def _document(command: str, problem: pf.ProblemFile, epsilon: Optional[float]) -> dict:
+    """The result document of reduce, utility, rank or bridge."""
 
+    def section(name: str):
+        value = getattr(problem, name)
+        if value is None:
+            raise ParseError(f"{command} needs a {name} section in the problem file")
+        return value
 
-def cmd_validate(text: str, json_mode: bool = False) -> tuple[int, str]:
-    """Check every section; exit 0 only when the document is clean."""
-    doc = pf.emit_diagnostics(pf.validate_problem(text))
-    code = 0 if doc["ok"] else 1
-    if json_mode:
-        return code, pf.dumps(doc)
-    return code, "ok\n" if doc["ok"] else _lines(*doc["diagnostics"])
-
-
-def cmd_reduce(problem: ProblemFile, json_mode: bool = False) -> str:
-    lottery = _require(problem.lottery, "lottery", "reduce")
-    doc = pf.emit_simple_lottery(lottery.reduce())
-    return pf.dumps(doc) if json_mode else _lines(_pairs(doc))
-
-
-def cmd_utility(problem: ProblemFile, json_mode: bool = False) -> str:
-    lottery = _require(problem.lottery, "lottery", "utility")
-    assessment = _require(problem.assessment, "assessment", "utility")
-    doc = pf.emit_utility_value(evaluate(lottery, assessment))
-    return pf.dumps(doc) if json_mode else _lines(_value(doc))
-
-
-def cmd_rank(problem: ProblemFile, json_mode: bool = False) -> str:
-    decision = _require(problem.decision, "decision", "rank")
-    doc = pf.emit_ranking(rank_acts(decision), maximin_rank(decision), decision.prizes)
-    if json_mode:
-        return pf.dumps(doc)
-    return _lines(
-        "utility ranking:",
-        *[f"  {entry['act']} {_value(entry)}" for entry in doc["utility"]],
-        "maximin ranking:",
-        *[f"  {entry['act']} worst {entry['worst_prize']}" for entry in doc["maximin"]],
-        f"disagreement: {'yes' if doc['disagreement'] else 'no'}",
-    )
-
-
-def cmd_bridge(
-    problem: ProblemFile, json_mode: bool = False, epsilon: Optional[float] = None
-) -> str:
-    prob = _require(problem.prob_lottery, "prob_lottery", "bridge")
+    if command == "reduce":
+        return pf.emit_simple_lottery(section("lottery").reduce())
+    if command == "utility":
+        return pf.emit_utility_value(evaluate(section("lottery"), section("assessment")))
+    if command == "rank":
+        decision = section("decision")
+        return pf.emit_ranking(rank_acts(decision), maximin_rank(decision), decision.prizes)
+    prob = section("prob_lottery")
     if epsilon is None:
         epsilon = problem.epsilon if problem.epsilon is not None else 10.0
-    doc = pf.emit_bridge(order_agreement(prob, EpsilonBase(epsilon)))
-    if json_mode:
-        return pf.dumps(doc)
-    return _lines(
-        f"spohnian: {_pairs(doc['spohnian'])}",
-        f"eu = {doc['eu']:.6g}",
-        f"kappa(eu) = {doc['kappa_of_eu']}",
-        f"qualitative = {doc['qualitative_eu']}",
-        f"gap = {doc['gap']}",
-    )
+    return pf.emit_bridge(order_agreement(prob, EpsilonBase(epsilon)))
+
+
+def _text(command: str, doc: dict) -> str:
+    """Text mode: the lines read from a command's result document."""
+    if command == "validate":
+        lines = doc["diagnostics"] or ["ok"]
+    elif command == "reduce":
+        lines = [_pairs(doc)]
+    elif command == "utility":
+        lines = [_value(doc)]
+    elif command == "rank":
+        lines = [
+            "utility ranking:",
+            *[f"  {entry['act']} {_value(entry)}" for entry in doc["utility"]],
+            "maximin ranking:",
+            *[f"  {entry['act']} worst {entry['worst_prize']}" for entry in doc["maximin"]],
+            f"disagreement: {'yes' if doc['disagreement'] else 'no'}",
+        ]
+    else:
+        lines = [
+            f"spohnian: {_pairs(doc['spohnian'])}",
+            f"eu = {doc['eu']:.6g}",
+            f"kappa(eu) = {doc['kappa_of_eu']}",
+            f"qualitative = {doc['qualitative_eu']}",
+            f"gap = {doc['gap']}",
+        ]
+    return "".join(f"{line}\n" for line in lines)
 
 
 @functools.cache  # built on the first main() call and shared after it: do not mutate
@@ -137,26 +121,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         except UnicodeDecodeError as e:
             raise ParseError(f"cannot read {args.file}: not valid UTF-8 at byte {e.start}") from None
         if args.command == "validate":
-            code, output = cmd_validate(text, args.json)
-            sys.stdout.write(output)
-            return code
-        problem = pf.parse_problem(text)
-        if args.command == "reduce":
-            output = cmd_reduce(problem, args.json)
-        elif args.command == "utility":
-            output = cmd_utility(problem, args.json)
-        elif args.command == "rank":
-            output = cmd_rank(problem, args.json)
+            doc = pf.emit_diagnostics(pf.validate_problem(text))
         else:
-            output = cmd_bridge(problem, args.json, args.epsilon)
-        sys.stdout.write(output)
-        return 0
+            doc = _document(args.command, pf.parse_problem(text), getattr(args, "epsilon", None))
+        sys.stdout.write(pf.dumps(doc) if args.json else _text(args.command, doc))
+        return 0 if doc.get("ok", True) else 1  # only validate's document has "ok"
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
     except KappaCalcError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except Exception as e:  # pragma: no cover - reaching this is a bug
+    except Exception as e:  # reaching this is a bug
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -141,9 +141,3 @@ class DisbeliefFunction(Frozen):
             return -d
         complement = [w for w in self.frame.worlds if w not in members]
         return self.degree(complement)
-
-    def independent(self, event_a: Iterable[str], event_b: Iterable[str]) -> bool:
-        """Whether two events' degrees compose additively over their intersection."""
-        a, b = set(event_a), set(event_b)
-        da, db = self.degree(a), self.degree(b)
-        return self.degree(a & b) == (INF if INF in (da, db) else da + db)

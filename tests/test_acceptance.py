@@ -27,11 +27,11 @@ from kappacalc import (
     scalar_utility,
     worst_prize_index,
 )
-from kappacalc import Leaf, Node, act_lottery
-from kappacalc.cli import cmd_utility
+from kappacalc import Leaf, Node, act_lottery, cli
 from kappacalc.problemfile import parse_problem
 
 from conftest import (
+    PROBLEMS,
     problem_text,
     random_assessment,
     random_lottery,
@@ -46,10 +46,11 @@ def ok(n: int, label: str):
     print(f"CRITERION {n} ({label}): PASS")
 
 
-def test_criterion_1_earthquake_reproduction():
+def test_criterion_1_earthquake_reproduction(capsys):
     problem = parse_problem(problem_text("earthquake.json"))
     # the full command output, byte for byte
-    assert cmd_utility(problem) == "(1, 0)  u = -1\n"
+    assert cli.main(["utility", str(PROBLEMS / "earthquake.json")]) == 0
+    assert capsys.readouterr().out == "(1, 0)  u = -1\n"
     value = evaluate(problem.lottery, problem.assessment)
     assert value == UtilityValue(1, 0)
     # "between intensity 3 and 4": the scalar sits strictly inside

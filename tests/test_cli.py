@@ -268,6 +268,15 @@ class TestExitCodes:
         assert code == 1
         assert "o1 must map to (0,inf)" in out
 
+    def test_internal_error_is_3(self, capsys, monkeypatch):
+        def broken(*_):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "evaluate", broken)
+        assert run("utility", path("earthquake.json"), capsys=capsys) == (
+            3, "", "internal error: RuntimeError: boom\n"
+        )
+
     def hostile(self, capsys, tmp_path, raw: bytes):
         f = tmp_path / "hostile.json"
         f.write_bytes(raw)

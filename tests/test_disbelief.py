@@ -217,24 +217,3 @@ class TestBelief:
         fn, a, _ = fae
         complement = tuple(w for w in fn.frame if w not in a)
         assert fn.belief(a) == -fn.belief(complement)
-
-
-class TestIndependence:
-    def test_additive_composition(self):
-        frame = Frame(("hs", "ht", "ts", "tt"))
-        # two coin-like variables, second one surprising
-        fn = DisbeliefFunction(frame, (0, 2, 0, 2))
-        first_heads = ("hs", "ht")
-        second_tails = ("ht", "tt")
-        assert fn.independent(first_heads, second_tails)
-
-    def test_dependence(self):
-        fn = DisbeliefFunction(W3, (0, 2, INF))
-        assert not fn.independent(("a", "c"), ("b", "c"))
-
-    def test_degrees_past_the_float_range(self):
-        # disjoint events: the empty intersection is INF = 10**400 + INF
-        fn = DisbeliefFunction(W3, (0, 10**400, INF))
-        assert fn.independent(("b",), ("c",))
-        # exact: 10**400 != 10**400 + 10**400
-        assert not fn.independent(("b",), ("b", "c"))

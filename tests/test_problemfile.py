@@ -104,10 +104,13 @@ class TestParsing:
             '{"prizes": ["o1", "o2"], "lottery": 7}',
             '{"prizes": ["o1", "o2"], "lottery": [{"delta": 0}]}',
             '{"prizes": ["o1", "o2"], "lottery": [{"delta": 0, "child": "o1", "x": 1}]}',
+            '{"prizes": ["o1", "o2"], "assessment": [1, 2]}',
             '{"prizes": ["o1", "o2"], "assessment": {"o1": [0]}}',
             '{"prizes": ["o1", "o2"], "assessment": {"o1": [0, 1.5], "o2": [1, 0]}}',
             '{"prizes": ["o1", "o2"], "decision": {"states": ["s"], "belief": [0],'
             ' "acts": ["A"], "outcome": {"A": ["o1"]}}}',  # no assessment section
+            '{"prizes": ["o1", "o2"], "assessment": {"o1": [0, "inf"], "o2": ["inf", 0]},'
+            ' "decision": 5}',
         ]
         for text in bad:
             with pytest.raises(ParseError):

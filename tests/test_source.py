@@ -46,14 +46,6 @@ def test_only_problemfile_spells_infinity():
     assert holders == ["problemfile.py"]
 
 
-# Public API that only the tests call, kept on purpose.
-CALLED_FROM_TESTS_ONLY = {
-    # Spohn's independence of two events: part of the disbelief calculus
-    # beside condition, marginalize and belief, though no command needs it.
-    "DisbeliefFunction.independent",
-}
-
-
 def test_public_names_have_a_caller_outside_tests():
     # every public function, class and method is used by the package itself,
     # a demo, the bench or the README, so no code exists for the tests alone
@@ -95,7 +87,7 @@ def test_public_names_have_a_caller_outside_tests():
     unused = []
     for module, qualname, is_method in defs:
         name = qualname.rpartition(".")[2]
-        if name.startswith("_") or qualname in CALLED_FROM_TESTS_ONLY:
+        if name.startswith("_"):
             continue
         outside = [(names, attrs) for owner, names, attrs in chunks
                    if owner != qualname and not owner.startswith(f"{qualname}.")]
