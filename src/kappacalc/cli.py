@@ -78,7 +78,8 @@ def _text(command: str, doc: dict) -> str:
             f"qualitative = {doc['qualitative_eu']}",
             f"gap = {doc['gap']}",
         ]
-    return "".join(f"{line}\n" for line in lines)
+    # a lone surrogate (JSON "\\ud800") in a label is written as \ud800, as --json writes it
+    return "".join(f"{line}\n" for line in lines).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 @functools.cache  # built on the first main() call and shared after it: do not mutate

@@ -82,17 +82,13 @@ def show(value: object) -> str:
         return f"an int of {value.bit_length()} bits"
 
 
-def is_degree(value: object) -> bool:
-    """True for a non-negative int or ``INF``; bools do not count."""
-    if isinstance(value, float) and math.isinf(value) and value > 0:
-        return True
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def check_degree(value: object) -> Degree:
-    """Return ``value`` unchanged if it is a valid degree, else raise."""
-    if is_degree(value):
-        return value  # type: ignore[return-value]
+    """Return ``value`` unchanged if it is a non-negative int or ``INF``; bools do not count."""
+    if isinstance(value, int):
+        if value >= 0 and not isinstance(value, bool):
+            return value
+    elif isinstance(value, float) and value == INF:
+        return value
     raise TypeError(f"not a disbelief degree: {show(value)} (need a non-negative int or INF)")
 
 
@@ -113,9 +109,8 @@ def normalize_degrees(values: Iterable[object]) -> tuple[Degree, ...]:
     (0, 2, inf)
     """
     vec = check_degrees(values)
-    finite = [v for v in vec if v != INF]
-    if not finite:
+    low = min(vec, default=INF)
+    if low == INF:
         raise AllInfinite("every degree is infinite; nothing to normalize")
-    low = min(finite)
     return tuple([v if v == INF else v - low for v in vec])
 

@@ -47,14 +47,6 @@ class Frame(Frozen):
     def __iter__(self):
         return iter(self.worlds)
 
-    def indices(self, event: Iterable[str]) -> tuple[int, ...]:
-        """Indices of an event's worlds, in frame order; rejects strangers."""
-        members = set(event)
-        unknown = members - set(self.worlds)
-        if unknown:
-            raise UnknownWorld(f"not in the frame: {show(sorted(unknown))}")
-        return tuple(i for i, w in enumerate(self.worlds) if w in members)
-
 
 class DisbeliefFunction(Frozen):
     """A normalized disbelief potential over a frame.
@@ -70,17 +62,20 @@ class DisbeliefFunction(Frozen):
         potential = check_degrees(potential)
         if len(potential) != len(frame):
             raise LengthMismatch(f"potential has {len(potential)} entries for {len(frame)} worlds")
-        finite = [v for v in potential if v != INF]
-        if not finite:
+        low = min(potential)  # a frame has a world, so the potential has an entry
+        if low == INF:
             raise AllInfinite("potential is infinite everywhere")
-        low = min(finite)
         if low != 0:
             raise NotNormalized(f"S1 violated: minimum degree is {show(low)}, expected 0")
         self._init(frame, potential)
 
     def degree(self, event: Iterable[str]) -> Degree:
         """Degree of disbelief of an event: min over members, INF if empty (S2)."""
-        return min((self.potential[i] for i in self.frame.indices(event)), default=INF)
+        members = set(event)
+        unknown = members.difference(self.frame.worlds)
+        if unknown:
+            raise UnknownWorld(f"not in the frame: {show(sorted(unknown))}")
+        return min((v for w, v in zip(self.frame, self.potential) if w in members), default=INF)
 
     def condition(self, event: Iterable[str]) -> "DisbeliefFunction":
         """Revise on an event (S3): outside worlds go to INF, inside shift down."""

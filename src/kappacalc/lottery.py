@@ -154,8 +154,6 @@ class Node(Frozen):
 
     def __eq__(self, other):
         """As the nested branch tuples compare, without recursion or a pair walked twice."""
-        if self is other:
-            return True
         if other.__class__ is not Node:
             return NotImplemented
         seen, todo = set(), [(self, other)]

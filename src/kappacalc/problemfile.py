@@ -90,9 +90,11 @@ def degree_from_json(value: Any, where: str) -> Degree:
 def degree_to_json(value: Degree) -> Any:
     if value == INF:
         return "inf"
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, or before 3.10.7: no limit
-    if limit and value.bit_length() > 3 * limit and value >= 10**limit:  # 8**limit < 10**limit
-        raise OutOfRange(f"a degree of more than {limit} digits cannot be written")
+    try:
+        str(value)
+    except ValueError:  # past sys.get_int_max_str_digits(), which this Python therefore has
+        limit = sys.get_int_max_str_digits()
+        raise OutOfRange(f"a degree of more than {limit} digits cannot be written") from None
     return int(value)
 
 
@@ -110,7 +112,7 @@ def _real_list(value: Any, where: str) -> list[float]:
 
 def _parse_prizes(doc: dict) -> PrizeSet:
     labels = _string_list(_need(doc, "prizes", list, "document"), "prizes")
-    return PrizeSet(tuple(labels))
+    return PrizeSet(labels)
 
 
 def _parse_assessment(section: Any, prizes: PrizeSet) -> PrizeAssessment:
@@ -170,7 +172,7 @@ def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
             else:
                 raise ParseError(f"{spot(i)}.child: expected a prize name or a list of branches")
         else:
-            node = Node(tuple(branches))
+            node = Node(branches)
             if not stack:
                 for d in node.deltas:  # two long degrees on one path can sum past writing
                     degree_to_json(d)
@@ -184,12 +186,10 @@ def _parse_decision(section: Any, assessment: Optional[PrizeAssessment]) -> Deci
         raise ParseError("decision: expected an object")
     if assessment is None:
         raise ParseError("decision: needs an assessment section to rank against")
-    states = Frame(tuple(_string_list(_need(section, "states", list, "decision"), "decision.states")))
-    potential = tuple(
-        degree_from_json(v, "decision.belief")
-        for v in _need(section, "belief", list, "decision")
-    )
-    acts = tuple(_string_list(_need(section, "acts", list, "decision"), "decision.acts"))
+    states = Frame(_string_list(_need(section, "states", list, "decision"), "decision.states"))
+    potential = [degree_from_json(v, "decision.belief")
+                 for v in _need(section, "belief", list, "decision")]
+    acts = _string_list(_need(section, "acts", list, "decision"), "decision.acts")
     outcome = _need(section, "outcome", dict, "decision")
     for act in outcome:
         if act not in acts:
@@ -203,8 +203,8 @@ def _parse_decision(section: Any, assessment: Optional[PrizeAssessment]) -> Deci
             raise ParseError(
                 f"decision.outcome[{act!r}]: {len(row)} entries for {len(states)} states"
             )
-        rows.append(tuple(row))
-    return DecisionProblem(acts, tuple(rows), DisbeliefFunction(states, potential), assessment)
+        rows.append(row)
+    return DecisionProblem(acts, rows, DisbeliefFunction(states, potential), assessment)
 
 
 def _parse_prob_lottery(section: Any, prizes: PrizeSet) -> tuple[ProbLottery, Optional[float]]:
@@ -221,14 +221,12 @@ def _parse_prob_lottery(section: Any, prizes: PrizeSet) -> tuple[ProbLottery, Op
             epsilon = EpsilonBase(float(raw)).epsilon
         except OverflowError:
             raise ParseError("prob_lottery.epsilon: integer too large for a float") from None
-    return ProbLottery(prizes, tuple(probs), tuple(utils)), epsilon
+    return ProbLottery(prizes, probs, utils), epsilon
 
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse a problem document, raising on the first defect of any kind."""
-    problem, diagnostics = _build_problem(text, collect=False)
-    assert not diagnostics
-    return problem
+    return _build_problem(text, collect=False)[0]
 
 
 def validate_problem(text: str) -> list[str]:
@@ -269,7 +267,7 @@ def _build_problem(text: str, collect: bool) -> tuple[Optional[ProblemFile], lis
     if "lottery" in doc:
         lottery = run("lottery", lambda: _parse_lottery(doc["lottery"], prizes))
     if "decision" in doc:
-        if collect and "assessment" in doc and assessment is None:
+        if "assessment" in doc and assessment is None:  # only collecting gets here
             diagnostics.append("decision: skipped (assessment section is invalid)")
         else:
             decision = run("decision", lambda: _parse_decision(doc["decision"], assessment))

@@ -640,3 +640,29 @@ class TestEntryPoints:
         proc = subprocess.run(command, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout == "o1:4 o2:0 o3:0\n"
+
+    def test_text_mode_writes_a_lone_surrogate_as_json_does(self, tmp_path):
+        # "\ud800" decodes to a str that UTF-8 cannot encode; a process's stdout
+        # refuses it where an in-process StringIO would not
+        labels = {"prizes": ["\ud800", "b"], "lottery": "\ud800",
+                  "assessment": {"\ud800": [0, "inf"], "b": ["inf", 0]},
+                  "decision": {"states": ["s"], "belief": [0], "acts": ["\udfff"],
+                               "outcome": {"\udfff": ["b"]}},
+                  "prob_lottery": {"probs": [0.5, 0.5], "utils": [1, 0]}}
+        quoted = {"prizes": ["\ud800", "b"], "assessment": {"\ud800": [0, 3], "b": ["inf", 0]}}
+        cases = [
+            (labels, "reduce", 0, "\\ud800:0 b:inf\n"),
+            (labels, "rank", 0, "utility ranking:\n  \\udfff (inf, 0)  u = -inf\n"
+                                "maximin ranking:\n  \\udfff worst b\ndisagreement: no\n"),
+            (labels, "bridge", 0, "spohnian: \\ud800:0 b:0\neu = 0.5\nkappa(eu) = 0\n"
+                                  "qualitative = 0\ngap = 0\n"),
+            (quoted, "validate", 1,
+             "assessment: InvalidAssessment: \\ud800 must map to (0,inf), got (0, 3)\n"),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONIOENCODING": "utf-8"}
+        f = tmp_path / "surrogate.json"
+        for doc, command, code, out in cases:
+            f.write_text(json.dumps(doc))  # ensure_ascii writes each label as its escape
+            proc = subprocess.run([sys.executable, "-m", "kappacalc", command, str(f)],
+                                  capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, ""), command

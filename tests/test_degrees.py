@@ -20,7 +20,7 @@ from kappacalc import (
     kappa_of,
     normalize_degrees,
 )
-from kappacalc.degrees import check_degree, is_degree, show
+from kappacalc.degrees import check_degree, show
 from kappacalc.errors import (
     AllInfinite,
     DuplicateLabel,
@@ -39,17 +39,13 @@ degrees = st.one_of(st.integers(min_value=0, max_value=10**6), st.just(INF))
 
 
 def test_is_degree_accepts_naturals_and_inf():
-    assert is_degree(0)
-    assert is_degree(7)
-    assert is_degree(10**30)
-    assert is_degree(INF)
-    assert is_degree(float("inf"))  # equal but not identical to INF
+    for value in (0, 7, 10**30, INF, float("inf")):  # float("inf") is equal but not identical to INF
+        assert check_degree(value) is value
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, -INF, float("nan"), True, False, "3", None])
 def test_is_degree_rejects_everything_else(bad):
-    assert not is_degree(bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="not a disbelief degree"):
         check_degree(bad)
 
 
@@ -128,7 +124,7 @@ def one_act_problem():
     (lambda: PrizeSet((HUGE, HUGE)), DuplicateLabel, f"prize labels repeat: {PAIR}"),
     (lambda: AB.index(HUGE), UnknownPrize, "prize an int of 16610 bits is not in the prize set"),
     (lambda: Frame((HUGE, HUGE)), DuplicateLabel, f"frame labels repeat: {PAIR}"),
-    (lambda: Frame(("s",)).indices([HUGE]), UnknownWorld,
+    (lambda: DisbeliefFunction(Frame(("s",)), (0,)).degree([HUGE]), UnknownWorld,
      "not in the frame: [an int of 16610 bits]"),
     (lambda: DecisionProblem((HUGE, HUGE), (), None, None), DuplicateLabel,
      f"act labels repeat: {PAIR}"),

@@ -50,9 +50,10 @@ class TestFrame:
 
     def test_lookup(self):
         assert "c" in W3
-        assert W3.indices(("c", "a")) == (0, 2)
-        with pytest.raises(UnknownWorld):
-            W3.indices(("a", "z"))
+        fn = DisbeliefFunction(W3, (2, 0, 1))
+        assert fn.degree(("c", "a")) == 1
+        with pytest.raises(UnknownWorld, match="not in the frame"):
+            fn.degree(("a", "z"))
 
 
 class TestConstruction:

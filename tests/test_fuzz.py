@@ -1,5 +1,7 @@
 """Every input terminates: kappa_of returns or refuses, and every command
 on a mutated shipped fixture exits 0, 1 or 2, each within a time bound.
+The command writes to a stdout that encodes UTF-8 strictly, as a process's
+stdout does, and a file whose bytes are not UTF-8 JSON text exits 2.
 
 A hang fails the test instead of stalling the suite: an interval timer
 raises `Overrun` in the main thread.  The timer interrupts Python code
@@ -91,7 +93,7 @@ def encode(v) -> str:
     if isinstance(v, Raw):
         return v
     if isinstance(v, Obj):
-        return "{" + ", ".join(f"{json.dumps(k)}: {encode(x)}" for k, x in v) + "}"
+        return "{" + ", ".join(f"{encode(k)}: {encode(x)}" for k, x in v) + "}"
     if isinstance(v, list):
         return "[" + ", ".join(map(encode, v)) + "]"
     return json.dumps(v)
@@ -101,7 +103,9 @@ FIXTURES = {p.name: json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=
             for p in sorted(PROBLEMS.glob("*.json"))}
 HUGE = [Raw("9" * 400), Raw("-" + "9" * 400), Raw("9" * 4300), Raw("9" * 4301),
         Raw("1e999"), Raw("-1e999"), Raw("1e-400")]
-ODD = [*HUGE, 0, -1, 0.5, 1.0000000000000002, 1e308, 5e-324, True, None, "inf", "x", [], Obj()]
+SURROGATES = [Raw('"\\ud800"'), Raw('"\\udfff"')]  # lone: no UTF-8 encoding
+ODD = [*HUGE, 0, -1, 0.5, 1.0000000000000002, 1e308, 5e-324, True, None, "inf", "x", [], Obj(),
+       *SURROGATES]
 EPSILONS = [1, 1.0000000000000002, 1 + 2.0**-40, 1.01, 1e308, 0.5, -2, "10", None, True,
             Raw("1e999"), Raw("9" * 400)]
 OPS = ("replace", "drop", "duplicate", "repeat", "nest")
@@ -125,6 +129,24 @@ def mutate(v, target: int, change, seen: list):
     if isinstance(v, list):
         return [mutate(x, target, change, seen) for x in v]
     return v
+
+
+def strings(v) -> set:
+    """The string values in v, outside notes: labels, and spellings such as "inf"."""
+    if isinstance(v, Obj):
+        return strings([x for k, x in v if k != "notes"])
+    if isinstance(v, list):
+        return set().union(*map(strings, v))
+    return {v} if isinstance(v, str) else set()
+
+
+def rename(v, old: str, new: str):
+    """v with the string old replaced by new everywhere, so a file stays consistent."""
+    if isinstance(v, Obj):
+        return Obj([(new if k == old else k, rename(x, old, new)) for k, x in v])
+    if isinstance(v, list):
+        return [rename(x, old, new) for x in v]
+    return new if isinstance(v, str) and v == old else v
 
 
 def change_for(op: str, value, at: int):
@@ -155,20 +177,35 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+COMMANDS = st.sampled_from(["validate", "reduce", "utility", "rank", "bridge"])
+FORMATS = st.sampled_from([[], ["--json"]])
+
+
+def run_cli(argv: list) -> tuple:
+    """Exit code and stderr of one command, its stdout failing as a process's would."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with time_bound(5.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_every_command_exits_0_1_or_2_on_mutated_fixtures(workdir, data):
     doc = FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)), label="fixture")]
     if data.draw(st.booleans(), label="set epsilon"):
         doc = with_epsilon(doc, data.draw(st.sampled_from(EPSILONS), label="epsilon"))
+    if data.draw(st.booleans(), label="rename"):  # to a lone surrogate, keys too, consistently
+        old = data.draw(st.sampled_from(sorted(strings(doc))), label="label")
+        doc = rename(doc, old, data.draw(st.sampled_from(SURROGATES), label="to"))
     for _ in range(data.draw(st.integers(0, 3), label="mutations")):
         op = data.draw(st.sampled_from(OPS), label="op")
         change = change_for(op, data.draw(st.sampled_from(ODD)), data.draw(st.integers(0, 99)))
         doc = mutate(doc, data.draw(st.integers(0, size(doc) - 1), label="node"), change, [0])
     path = workdir / "case.json"
     path.write_text(encode(doc), encoding="utf-8")
-    command = data.draw(st.sampled_from(["validate", "reduce", "utility", "rank", "bridge"]))
-    argv = [command, str(path), *data.draw(st.sampled_from([[], ["--json"]]), label="format")]
+    command = data.draw(COMMANDS, label="command")
+    argv = [command, str(path), *data.draw(FORMATS, label="format")]
     if command == "bridge":
         argv += data.draw(st.one_of(
             st.just([]),  # 1 + 2**-52 steps: up to j = 64, the float margin spans a class
@@ -176,7 +213,25 @@ def test_every_command_exits_0_1_or_2_on_mutated_fixtures(workdir, data):
             st.integers(1, 2**20).map(lambda j: ["--epsilon", repr(1 + j * 2.0**-52)]),
             st.sampled_from([["--epsilon", e] for e in ("1", "1.01", "10", "0.5", "nan", "inf")]),
         ), label="epsilon")
-    out, err = io.StringIO(), io.StringIO()
-    with time_bound(5.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1, 2), (argv, encode(doc)[:2000], err.getvalue())
+    code, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, encode(doc)[:2000], err)
+
+
+# bytes the JSON-level mutator cannot write; the fixtures encode to ASCII, so
+# each breaks the file wherever it goes, and a BOM only leads a file
+BOM, BAD_BYTES = b"\xef\xbb\xbf", [b"\x00", b"\xed\xa0\x80", b"\xe2\x82"]  # NUL, surrogate, cut
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_command_exits_2_on_bytes_that_are_not_utf8_json_text(workdir, data):
+    text = encode(FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)), label="fixture")])
+    raw = text.encode("ascii")
+    bad = data.draw(st.sampled_from([BOM, *BAD_BYTES]), label="bytes")
+    at = 0 if bad == BOM else data.draw(st.integers(0, len(raw)), label="at")
+    path = workdir / "bytes.json"
+    path.write_bytes(raw[:at] + bad + raw[at:])
+    argv = [data.draw(COMMANDS, label="command"), str(path), *data.draw(FORMATS, label="format")]
+    code, err = run_cli(argv)
+    assert code == 2, (argv, bad, at, err)
+    assert err.startswith("parse error: ")

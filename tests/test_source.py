@@ -1,9 +1,18 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import importlib.util
+import io
 import re
+import runpy
+import sys
+from pathlib import Path
 
-from conftest import REPO
+from kappacalc import cli
+
+from conftest import PROBLEMS, REPO
+from test_cli_golden import CASES, replay
 
 
 def test_no_environment_knobs():
@@ -96,3 +105,49 @@ def test_public_names_have_a_caller_outside_tests():
         if not ok and not re.search((r"\." if is_method else r"\b") + name + r"\b", readme):
             unused.append(f"{module}:{qualname}")
     assert unused == []
+
+
+def test_public_functions_are_called_outside_tests():
+    # the guard above accepts a method wherever its name is read, even on
+    # another class; this one runs the demos, every golden CLI case, the README
+    # example and the bench tracer, and needs a call of each public function
+    # and method.  A code object is known by its file and first line, which
+    # is its first decorator's line (co_qualname needs Python 3.11).
+    defs = {}
+    for path in sorted((REPO / "src" / "kappacalc").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in members:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                    qualname = node.name if node is top else f"{top.name}.{node.name}"
+                    defs[(str(path.resolve()), first)] = f"{path.name}:{qualname}"
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("## Library in one minute")[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    called = set()
+    cli.build_parser.cache_clear()  # so that this run builds the parser again
+
+    def profile(frame, event, _):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for demo in sorted((REPO / "demos").glob("*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
+            exec(example, {})
+            for case in CASES:
+                replay(case["args"])
+            with tracing.instrument(tracing.Tracer()) as tracer:
+                cli.main(["rank", str(PROBLEMS / "earthquake_decision.json")])
+            tracer.count_parsed()  # the bench reads DecisionProblem.states only here
+    finally:
+        sys.setprofile(None)
+    reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in called}
+    assert CASES and defs
+    assert sorted(name for key, name in defs.items() if key not in reached) == []

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from kappacalc import (
     INF,
     Leaf,
+    Node,
     PrizeAssessment,
     PrizeSet,
     SimpleLottery,
@@ -195,6 +196,61 @@ class TestEvaluate:
             assessment = random_assessment(rng, prizes)
             tree = random_lottery(rng, prizes, depth=3, max_branch=4)
             assert evaluate(tree, assessment) == evaluate(tree.reduce(), assessment)
+
+
+def branch_paths(node: Node, path: tuple = ()):
+    """(path, degree, child) of every branch in the tree, path being branch indices."""
+    for i, (d, child) in enumerate(node.branches):
+        yield path + (i,), d, child
+        if isinstance(child, Node):
+            yield from branch_paths(child, path + (i,))
+
+
+def with_branch(node: Node, path: tuple, change) -> Node:
+    """The tree with change(degree, child) in place of the branch at path."""
+    branches = list(node.branches)
+    d, child = branches[path[0]]
+    branches[path[0]] = change(d, child) if len(path) == 1 else (
+        d, with_branch(child, path[1:], change))
+    return Node(branches)
+
+
+def scalars(tree: Node, assessment: PrizeAssessment) -> tuple:
+    """The tree's scalar utility, from evaluate and from the path-sum oracle."""
+    return (scalar_utility(evaluate(tree, assessment)),
+            scalar_utility(UtilityValue(*path_sum_evaluate(tree, assessment))))
+
+
+class TestMonotonicity:
+    """A better prize, or less disbelief in the best prize, never lowers the utility."""
+
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_a_prize_at_least_as_good_never_lowers_it(self, rng, data):
+        prizes = random_prizes(rng)
+        assessment = random_assessment(rng, prizes)
+        tree = Node([(0, random_lottery(rng, prizes))])  # so every leaf ends a branch
+        leaves = [(path, child) for path, _, child in branch_paths(tree)
+                  if isinstance(child, Leaf)]
+        path, leaf = data.draw(st.sampled_from(leaves), label="leaf")
+        better = Leaf(prizes.prizes[data.draw(st.integers(0, leaf.slot), label="prize")], prizes)
+        changed = with_branch(tree, path, lambda d, _: (d, better))
+        for before, after in zip(scalars(tree, assessment), scalars(changed, assessment)):
+            assert after >= before
+
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_less_disbelief_in_the_best_prize_never_lowers_it(self, rng, data):
+        prizes = random_prizes(rng)
+        assessment = random_assessment(rng, prizes)
+        best = Leaf(prizes.best, prizes)
+        k = data.draw(st.one_of(st.integers(1, 20), st.just(INF)), label="k")
+        tree = Node([(0, random_lottery(rng, prizes)), (k, best)])  # one such branch at least
+        branches = [(path, d) for path, d, child in branch_paths(tree)
+                    if isinstance(child, Leaf) and child.slot == 0 and d > 0]
+        path, d = data.draw(st.sampled_from(branches), label="branch")
+        lower = data.draw(st.integers(0, 20 if d == INF else d - 1), label="degree")
+        changed = with_branch(tree, path, lambda _, child: (lower, child))  # its node keeps a 0
+        for before, after in zip(scalars(tree, assessment), scalars(changed, assessment)):
+            assert after >= before
 
 
 class TestStandardEquivalent:
