@@ -32,8 +32,10 @@ class DecisionProblem(Frozen):
     `outcome` holds one row of prize labels per act, in act order, each
     with one entry per state of `belief.frame`, in frame order.  The table
     must be total and every label a prize of `assessment.prizes`.  Building
-    the problem checks each row once and folds it into its act's simple
-    lottery in the same pass.
+    the problem reads each label once: a row's set of prizes is checked
+    against the prize set, then its states are walked least disbelieved
+    first, so each prize's first state holds its minimum, until every prize
+    in the set is seen.  Rows are refused in act order, length first.
     """
 
     _fields = ("acts", "outcome", "belief", "assessment")
@@ -46,30 +48,40 @@ class DecisionProblem(Frozen):
             raise EmptyList("a decision problem needs at least one act")
         if len(set(acts)) != len(acts):
             raise DuplicateLabel(f"act labels repeat: {show(acts)}")
-        table = tuple(tuple(row) for row in outcome)
-        if len(table) != len(acts):
-            raise UnknownAct(f"{len(table)} outcome rows for {len(acts)} acts")
+        rows = tuple(outcome)
+        if len(rows) != len(acts):
+            raise UnknownAct(f"{len(rows)} outcome rows for {len(acts)} acts")
         prizes = assessment.prizes
+        labels = frozenset(prizes.prizes)
         potential = belief.potential
-        lotteries = []
-        for act, row in zip(acts, table):
+        order = sorted(range(len(potential)), key=potential.__getitem__)
+        table, lotteries = [], []
+        for act, row in zip(acts, rows):
+            row = tuple(row)
             if len(row) != len(potential):
                 raise UnknownWorld(
                     f"outcome row for {show(act)} has {len(row)} entries, "
                     f"expected {len(potential)}"
                 )
-            low = dict.fromkeys(prizes, INF)
             try:
-                for prize, v in zip(row, potential):
-                    if v < low[prize]:
-                        low[prize] = v
-            except (KeyError, TypeError):  # an unhashable label cannot be a prize either
+                reached = set(row)
+            except TypeError:  # an unhashable label cannot be a prize either
+                reached = None
+            if reached is None or not labels.issuperset(reached):
                 for prize in row:
                     prizes.index(prize)  # raises UnknownPrize on the first bad label
+            low = {}
+            for i in order:
+                prize = row[i]
+                if prize not in low:
+                    low[prize] = potential[i]
+                    if len(low) == len(reached):
+                        break
             # S1 on the belief guarantees some state has potential 0, so the
             # prize it reaches gets delta 0 and no renormalization is needed.
-            lotteries.append(SimpleLottery(prizes, tuple(low.values())))
-        self._init(acts, table, belief, assessment)
+            lotteries.append(SimpleLottery(prizes, tuple([low.get(p, INF) for p in prizes])))
+            table.append(row)
+        self._init(acts, tuple(table), belief, assessment)
         object.__setattr__(self, "_lotteries", tuple(lotteries))
 
     @property

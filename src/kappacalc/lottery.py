@@ -191,9 +191,36 @@ class Node(Frozen):
             todo += reversed([*parts, ",))" if len(item.branches) == 1 else "))"])
         return "".join(out)
 
+    def __reduce__(self):
+        """Pickle flat, without recursion: the distinct nodes bottom-up, each
+        branch's child a leaf or the index of a node listed before it."""
+        index, table, todo = {}, [], [self]
+        while todo:
+            node = todo[-1]
+            if id(node) in index:
+                todo.pop()
+                continue
+            waiting = [c for _, c in node.branches if type(c) is Node and id(c) not in index]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            index[id(node)] = len(table)
+            table.append(tuple([(d, index[id(c)] if type(c) is Node else c)
+                                for d, c in node.branches]))
+        return _unflatten, (table,)
+
     def reduce(self) -> SimpleLottery:
         """The simple lottery this tree collapses to, composed at construction."""
         return SimpleLottery(self.prizes, self.deltas)
+
+
+def _unflatten(table: list) -> Node:
+    """Rebuild the nodes `Node.__reduce__` listed; the last one is the root."""
+    nodes = []
+    for branches in table:
+        nodes.append(Node([(d, nodes[c] if type(c) is int else c) for d, c in branches]))
+    return nodes[-1]
 
 
 Lottery = Union[Leaf, Node]

@@ -194,17 +194,22 @@ def _parse_decision(section: Any, assessment: Optional[PrizeAssessment]) -> Deci
     for act in outcome:
         if act not in acts:
             raise ParseError(f"decision.outcome: unknown act {act!r}")
-    rows = []
-    for act in acts:
-        if act not in outcome:
-            raise ParseError(f"decision.outcome: no row for act {act!r}")
-        row = _string_list(outcome[act], f"decision.outcome[{act!r}]")
-        if len(row) != len(states):
-            raise ParseError(
-                f"decision.outcome[{act!r}]: {len(row)} entries for {len(states)} states"
-            )
-        rows.append(row)
-    return DecisionProblem(acts, rows, DisbeliefFunction(states, potential), assessment)
+    # A missing or non-list row has no entries, so the build refuses it.  A
+    # built problem has proved every label a prize; on a refusal the rows are
+    # checked in act order, since a defect of shape outranks one of value.
+    rows = [outcome[act] if isinstance(outcome.get(act), list) else () for act in acts]
+    try:
+        return DecisionProblem(acts, rows, DisbeliefFunction(states, potential), assessment)
+    except KappaCalcError:
+        for act in acts:
+            if act not in outcome:
+                raise ParseError(f"decision.outcome: no row for act {act!r}")
+            row = _string_list(outcome[act], f"decision.outcome[{act!r}]")
+            if len(row) != len(states):
+                raise ParseError(
+                    f"decision.outcome[{act!r}]: {len(row)} entries for {len(states)} states"
+                )
+        raise
 
 
 def _parse_prob_lottery(section: Any, prizes: PrizeSet) -> tuple[ProbLottery, Optional[float]]:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's recursive formulations:
 reduction and evaluation are computed by enumerating complete root-to-leaf
 paths (addition distributes over min, so the path expansion must agree),
 kappa is found by scanning exponents with exact rational arithmetic,
-never touching a logarithm, the utility order is the standard-lottery case
-analysis rather than a subtraction, and the disagreement search compares
-every pair of candidate acts.
+never touching a logarithm, an act's lottery is a plain min over its row,
+the utility order is the standard-lottery case analysis rather than a
+subtraction, and the disagreement search compares every pair of
+candidate acts.
 """
 
 from fractions import Fraction
@@ -97,6 +98,15 @@ def scan_kappa(p: Fraction, eps: Fraction):
         k += 1
     return k
 
+
+
+def scan_act_lottery(problem, act) -> SimpleLottery:
+    """An act's simple lottery by a direct min over the states, in frame order."""
+    row = problem.outcome[problem.acts.index(act)]
+    low = {p: INF for p in problem.prizes}
+    for prize, v in zip(row, problem.belief.potential):
+        low[prize] = min(low[prize], v)
+    return SimpleLottery(problem.prizes, tuple(low[p] for p in problem.prizes))
 
 
 def scan_disagreement(max_prizes: int, max_delta: int):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import conftest
 from kappacalc import (
@@ -24,7 +26,7 @@ from kappacalc.errors import (
     UnknownPrize,
     UnknownWorld,
 )
-from oracles import scan_disagreement
+from oracles import scan_act_lottery, scan_disagreement
 
 O3 = PrizeSet(("o1", "o2", "o3"))
 A3 = PrizeAssessment.from_map(O3, {"o1": (0, INF), "o2": (0, 1), "o3": (INF, 0)})
@@ -201,6 +203,43 @@ class TestActLottery:
         with pytest.raises(UnknownPrize) as caught:
             DecisionProblem(("A",), rows, belief, A3)
         assert str(caught.value) == "prize ['o2'] is not in the prize set"
+
+
+class TestFoldAgainstScan:
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_every_act_lottery_is_the_min_over_its_row(self, rng, data):
+        # potentials with ties and INF, one state or many, rows reaching
+        # from one prize to all of them, a prize that only the most
+        # disbelieved state reaches, and now and then a label that is no prize
+        prizes = conftest.random_prizes(rng)
+        potential = data.draw(st.lists(st.one_of(st.integers(0, 3), st.just(INF)),
+                                       min_size=1, max_size=12), label="potential")
+        potential[data.draw(st.integers(0, len(potential) - 1), label="zero")] = 0
+        belief = DisbeliefFunction(Frame([f"s{i}" for i in range(len(potential))]), potential)
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3), label="acts")):
+            reach = data.draw(st.lists(st.sampled_from(prizes.prizes), min_size=1,
+                                       unique=True), label="reach")
+            rows.append([rng.choice(reach) for _ in potential])
+            if data.draw(st.booleans(), label="last state alone"):
+                last = max(range(len(potential)), key=lambda i: (potential[i], i))
+                alone = [p for p in prizes if p not in rows[-1]]
+                if alone:
+                    rows[-1][last] = rng.choice(alone)
+        bad = data.draw(st.sampled_from([None, None, None, "zz", ["o1"]]), label="bad")
+        if bad is not None:
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = bad
+        acts = [f"a{i}" for i in range(len(rows))]
+        assessment = conftest.random_assessment(rng, prizes)
+        if bad is not None:
+            with pytest.raises(UnknownPrize) as caught:
+                DecisionProblem(acts, rows, belief, assessment)
+            assert str(caught.value) == f"prize {bad!r} is not in the prize set"
+            return
+        problem = DecisionProblem(acts, rows, belief, assessment)
+        for act in acts:
+            assert act_lottery(problem, act) == scan_act_lottery(problem, act)
 
 
 class TestRankings:

@@ -11,7 +11,7 @@ from kappacalc import (
     SimpleLottery,
     UtilityValue,
 )
-from kappacalc.errors import OutOfRange, ParseError
+from kappacalc.errors import EmptyList, NotNormalized, OutOfRange, ParseError, UnknownPrize
 from kappacalc.problemfile import (
     dumps,
     emit_bridge,
@@ -129,6 +129,56 @@ class TestParsing:
             parse_problem(base % '{"A": ["o1", "o1"], "Z": ["o1", "o1"]}')
         with pytest.raises(ParseError, match="entries for"):
             parse_problem(base % '{"A": ["o1"]}')
+
+    @pytest.mark.parametrize("acts, belief, outcome, error, message", [
+        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": ["o1", 7]}', ParseError,
+         "decision.outcome['B']: expected a list of strings"),
+        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": "o1"}', ParseError,
+         "decision.outcome['B']: expected a list of strings"),
+        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": ["o1", "o2"]}', UnknownPrize,
+         "prize 'zz' is not in the prize set"),
+        ('["A", "B"]', "[0, 0]", '{"A": null, "B": ["o1", "o2"]}', ParseError,
+         "decision.outcome['A']: expected a list of strings"),
+        ('["A", "B"]', "[0, 0]", '{"B": ["o1", "o2"]}', ParseError,
+         "decision.outcome: no row for act 'A'"),
+        ('["A", "B"]', "[0, 0]", '{"A": ["o1", null], "B": ["o1"]}', ParseError,
+         "decision.outcome['A']: expected a list of strings"),
+        ('["A", "B"]', "[0, 0]", '{"A": ["o1"], "B": ["o1", null]}', ParseError,
+         "decision.outcome['A']: 1 entries for 2 states"),
+        ('["A", "B"]', "[1, 2]", '{"A": ["o1", "o2"], "B": [true, "o2"]}', ParseError,
+         "decision.outcome['B']: expected a list of strings"),
+        ('["A", "B"]', "[1, 2]", '{"A": ["o1", "o2"], "B": ["o2", "o2"]}', NotNormalized,
+         "S1 violated: minimum degree is 1, expected 0"),
+        ('["A", "A"]', "[0, 0]", '{"A": {"o1": 0, "o2": 1}}', ParseError,
+         "decision.outcome['A']: expected a list of strings"),
+        ('["A"]', "[0, 0]", '{"A": {"o1": 0, "o2": 1}}', ParseError,
+         "decision.outcome['A']: expected a list of strings"),
+        ("[]", "[0, 0]", "{}", EmptyList, "a decision problem needs at least one act"),
+        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "o2"], "B": ["o1", ["o2"]]}', ParseError,
+         "decision.outcome['B']: expected a list of strings"),
+    ], ids=["bad-prize-then-non-string", "bad-prize-then-non-list", "bad-prize",
+            "null-row", "missing-row", "non-string-then-short", "short-then-non-string",
+            "unnormalized-and-non-string", "unnormalized", "duplicate-acts-and-dict-row",
+            "dict-row", "no-acts", "unhashable-label"])
+    def test_decision_defects_are_reported_in_precedence_order(
+            self, acts, belief, outcome, error, message):
+        # rows in act order, each for presence, type, labels' type, then length,
+        # all before any calculus error of the belief or the table
+        text = (
+            '{"prizes": ["o1", "o2"],'
+            ' "assessment": {"o1": [0, "inf"], "o2": ["inf", 0]},'
+            f' "decision": {{"states": ["s1", "s2"], "belief": {belief}, "acts": {acts},'
+            f' "outcome": {outcome}}}}}'
+        )
+        with pytest.raises(error) as caught:
+            parse_problem(text)
+        assert type(caught.value) is error and str(caught.value) == message
+        if error is ParseError:
+            with pytest.raises(ParseError) as caught:
+                validate_problem(text)
+            assert str(caught.value) == message
+        else:
+            assert validate_problem(text) == [f"decision: {error.__name__}: {message}"]
 
     def test_invariant_violations_are_calc_errors(self):
         from kappacalc.errors import NotNormalized

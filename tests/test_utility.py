@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,23 @@ class TestStandardOrder:
                 su, sv = scalar_utility(u), scalar_utility(v)
                 expected = (su > sv) - (su < sv)
                 assert compare_standard(u, v) == expected, (u, v)
+
+
+class TestWeakOrder:
+    @given(st.randoms(use_true_random=False), st.integers(2, 6))
+    def test_evaluate_orders_lotteries_completely_transitively_and_as_the_oracle(self, rng, n):
+        # the paper's preference over lotteries is a weak order
+        prizes = random_prizes(rng)
+        assessment = random_assessment(rng, prizes)
+        trees = [random_lottery(rng, prizes, depth=3, max_branch=4) for _ in range(n)]
+        values = [evaluate(tree, assessment) for tree in trees]
+        oracle = [path_sum_evaluate(tree, assessment) for tree in trees]
+        order = [[compare_standard(u, v) for v in values] for u in values]
+        for i, j, k in product(range(n), repeat=3):
+            assert order[i][j] == -order[j][i]  # complete: 0 is indifference
+            if order[i][j] >= 0 and order[j][k] >= 0:
+                assert order[i][k] >= 0
+            assert order[i][j] == compare_standard(oracle[i], oracle[j])
 
 
 class TestAssessment:

@@ -166,6 +166,22 @@ def test_deep_chain_copies_are_the_chain_itself():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+def test_deep_chains_pickle_without_recursion(depth):
+    x = chain(depth, PrizeSet(("a", "b")))
+    twin = pickle.loads(pickle.dumps(x))
+    assert twin == x and twin.deltas == x.deltas
+
+
+def test_shared_subtrees_pickle_once_and_stay_shared():
+    o = PrizeSet(("a", "b"))
+    tree = Node(((0, Leaf("a", o)), (5, Leaf("b", o))))
+    for _ in range(60):  # 2**60 paths over 61 nodes
+        tree = Node(((0, tree), (3, tree)))
+    twin = pickle.loads(pickle.dumps(tree))
+    assert twin == tree and twin.branches[0][1] is twin.branches[1][1]
+
+
 def test_deep_repr_matches_the_nested_form():
     o = PrizeSet(("a", "b"))
     tree = chain(3, o)
