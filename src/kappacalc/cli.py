@@ -78,8 +78,10 @@ def _text(command: str, doc: dict) -> str:
             f"qualitative = {doc['qualitative_eu']}",
             f"gap = {doc['gap']}",
         ]
-    # a lone surrogate (JSON "\\ud800") in a label is written as \ud800, as --json writes it
-    return "".join(f"{line}\n" for line in lines).encode("utf-8", "backslashreplace").decode("utf-8")
+    # a character stdout cannot encode is written as its escape, such as \xe9 or \ud800
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"  # io.StringIO has None
+    text = "".join(f"{line}\n" for line in lines)
+    return text.encode(encoding, "backslashreplace").decode(encoding)
 
 
 @functools.cache  # built on the first main() call and shared after it: do not mutate

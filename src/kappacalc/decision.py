@@ -81,7 +81,7 @@ class DecisionProblem(Frozen):
             # prize it reaches gets delta 0 and no renormalization is needed.
             lotteries.append(SimpleLottery(prizes, tuple([low.get(p, INF) for p in prizes])))
             table.append(row)
-        self._init(acts, tuple(table), belief, assessment)
+        super().__init__(acts, tuple(table), belief, assessment)
         object.__setattr__(self, "_lotteries", tuple(lotteries))
 
     @property
@@ -159,20 +159,11 @@ def _problem_from_vectors(
     """
     prizes = PrizeSet(tuple(f"o{i + 1}" for i in range(r)))
     assessment = PrizeAssessment(prizes, tuple(_value_for_scalar(s) for s in scalars))
-    labels = []
-    potential = []
-    table_a = []
-    table_b = []
-    for i in range(r):
-        for j in range(r):
-            if vec_a[i] == INF and vec_b[j] == INF:
-                continue  # an impossible state that reaches nothing useful
-            labels.append(f"s{i + 1}{j + 1}")
-            potential.append(vec_a[i] + vec_b[j])
-            table_a.append(prizes.prizes[i])
-            table_b.append(prizes.prizes[j])
-    belief = DisbeliefFunction(Frame(tuple(labels)), tuple(potential))
-    return DecisionProblem(("A", "B"), (tuple(table_a), tuple(table_b)), belief, assessment)
+    grid = list(itertools.product(range(r), repeat=2))  # (i, j) for each state s_ij
+    belief = DisbeliefFunction(Frame([f"s{i + 1}{j + 1}" for i, j in grid]),
+                               [vec_a[i] + vec_b[j] for i, j in grid])
+    rows = ([prizes.prizes[i] for i, _ in grid], [prizes.prizes[j] for _, j in grid])
+    return DecisionProblem(("A", "B"), rows, belief, assessment)
 
 
 def find_maximin_disagreement(max_prizes: int, max_delta: int) -> Optional[DecisionProblem]:

@@ -27,13 +27,16 @@ Signed = int | float
 class Frozen:
     """Base of the immutable value classes: `_fields` drive ==, hash and repr.
 
-    `__init__` sets each slot once; slots outside `_fields` are derived.
+    `__init__` stores one value per field; slots outside `_fields` are derived.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _init(self, *values) -> None:
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} values, "
+                            f"got {len(values)}")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 

@@ -39,7 +39,7 @@ class Frame(Frozen):
             raise LengthMismatch("a frame needs at least one world")
         if len(set(worlds)) != len(worlds):
             raise DuplicateLabel(f"frame labels repeat: {show(worlds)}")
-        self._init(worlds)
+        super().__init__(worlds)
 
     def __len__(self) -> int:
         return len(self.worlds)
@@ -67,7 +67,7 @@ class DisbeliefFunction(Frozen):
             raise AllInfinite("potential is infinite everywhere")
         if low != 0:
             raise NotNormalized(f"S1 violated: minimum degree is {show(low)}, expected 0")
-        self._init(frame, potential)
+        super().__init__(frame, potential)
 
     def degree(self, event: Iterable[str]) -> Degree:
         """Degree of disbelief of an event: min over members, INF if empty (S2)."""
@@ -80,16 +80,12 @@ class DisbeliefFunction(Frozen):
     def condition(self, event: Iterable[str]) -> "DisbeliefFunction":
         """Revise on an event (S3): outside worlds go to INF, inside shift down."""
         members = set(event)
-        shift = self.degree(members)
-        if shift == INF:
+        if self.degree(members) == INF:
             raise ConditionOnDisbelievedCertainty(
                 "cannot condition on an event disbelieved with certainty"
             )
-        shifted = tuple(
-            (v - shift if v != INF else INF) if w in members else INF
-            for w, v in zip(self.frame.worlds, self.potential)
-        )
-        return DisbeliefFunction(self.frame, shifted)
+        kept = [v if w in members else INF for w, v in zip(self.frame.worlds, self.potential)]
+        return DisbeliefFunction(self.frame, normalize_degrees(kept))
 
     def combine(self, other: "DisbeliefFunction") -> "DisbeliefFunction":
         """Pointwise addition of potentials, renormalized.

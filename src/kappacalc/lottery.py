@@ -38,7 +38,7 @@ class PrizeSet(Frozen):
             raise LengthMismatch("a prize set needs at least two prizes")
         if len(set(prizes)) != len(prizes):
             raise DuplicateLabel(f"prize labels repeat: {show(prizes)}")
-        self._init(prizes)
+        super().__init__(prizes)
 
     def __len__(self) -> int:
         return len(self.prizes)
@@ -73,7 +73,7 @@ class SimpleLottery(Frozen):
         low = min(deltas)
         if low != 0:
             raise NotNormalized(f"S1 violated: minimum delta is {show(low)}, expected 0")
-        self._init(prizes, deltas)
+        super().__init__(prizes, deltas)
 
     def reachable(self) -> tuple[str, ...]:
         """Prizes with finite disbelief, in preference order."""
@@ -91,8 +91,7 @@ class Leaf(Frozen):
 
     def __init__(self, prize: str, prizes: PrizeSet):
         object.__setattr__(self, "slot", prizes.index(prize))
-        object.__setattr__(self, "prize", prize)
-        object.__setattr__(self, "prizes", prizes)
+        super().__init__(prize, prizes)
 
     def reduce(self) -> SimpleLottery:
         """The simple lottery certain of this prize: 0 there, INF everywhere else."""

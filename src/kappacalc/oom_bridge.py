@@ -44,7 +44,7 @@ class EpsilonBase(Frozen):
             raise OutOfRange(f"epsilon must be a real number, got {show(epsilon)}")
         if not 1 < epsilon <= sys.float_info.max:  # exact for ints; false for NaN
             raise OutOfRange(f"epsilon must be finite and > 1, got {show(epsilon)}")
-        self._init(float(epsilon))
+        super().__init__(float(epsilon))
 
 
 Epsilon = Union[EpsilonBase, float, int]
@@ -144,7 +144,7 @@ class ProbLottery(Frozen):
         # a prize with p, u > 0 makes the min-plus side finite; kappa(eu) must be too
         if not any([p * u for p, u in zip(probs, utils)]) and any(map(min, probs, utils)):
             raise OutOfRange("expected utility underflows to 0, though a prize has p > 0 and u > 0")
-        self._init(prizes, probs, utils)
+        super().__init__(prizes, probs, utils)
 
 
 def vnm_eu(lottery: ProbLottery) -> float:
@@ -161,10 +161,6 @@ class OrderAgreement(Frozen):
     """
 
     __slots__ = _fields = ("spohnian", "kappa_of_eu", "qualitative_eu", "gap", "eu")
-
-    def __init__(self, spohnian: SimpleLottery, kappa_of_eu: Degree,
-                 qualitative_eu: Degree, gap: int, eu: float):
-        self._init(spohnian, kappa_of_eu, qualitative_eu, gap, eu)
 
 
 def order_agreement(lottery: ProbLottery, eps: Epsilon = 10.0) -> OrderAgreement:

@@ -38,15 +38,10 @@ KNOWN_SECTIONS = ("prizes", "assessment", "lottery", "decision", "prob_lottery",
 
 
 class ProblemFile(Frozen):
-    """The parsed sections of one problem document."""
+    """The parsed sections of one problem document; an absent section is None."""
 
     __slots__ = _fields = ("prizes", "assessment", "lottery", "decision", "prob_lottery",
                            "epsilon")
-
-    def __init__(self, prizes: PrizeSet, assessment: Optional[PrizeAssessment] = None,
-                 lottery: Optional[Lottery] = None, decision: Optional[DecisionProblem] = None,
-                 prob_lottery: Optional[ProbLottery] = None, epsilon: Optional[float] = None):
-        self._init(prizes, assessment, lottery, decision, prob_lottery, epsilon)
 
 
 def _reject_constant(name: str):

@@ -37,7 +37,7 @@ class UtilityValue(Frozen):
                 f"({show(toward_best)}, {show(toward_worst)}) is off the utility scale: "
                 "one component must be 0"
             )
-        self._init(toward_best, toward_worst)
+        super().__init__(toward_best, toward_worst)
 
     def pair(self) -> tuple[Degree, Degree]:
         return (self.toward_best, self.toward_worst)
@@ -85,27 +85,21 @@ class PrizeAssessment(Frozen):
                     f"utilities must strictly decrease with preference: "
                     f"{p} has {show(a)}, {q} has {show(b)}"
                 )
-        self._init(prizes, values)
+        super().__init__(prizes, values)
 
     @classmethod
     def from_map(
         cls,
         prizes: PrizeSet,
-        mapping: Mapping[str, UtilityValue | tuple[Degree, Degree]],
+        mapping: Mapping[str, tuple[Degree, Degree]],
     ) -> "PrizeAssessment":
-        """Build from a prize -> value mapping; bare pairs are accepted."""
+        """Build from a prize -> (toward_best, toward_worst) mapping."""
         for p in mapping:
             prizes.index(p)
         missing = [p for p in prizes if p not in mapping]
         if missing:
             raise UnassessedPrize(f"no value for prizes: {show(missing)}")
-        values = []
-        for p in prizes:
-            v = mapping[p]
-            if not isinstance(v, UtilityValue):
-                v = UtilityValue(*v)
-            values.append(v)
-        return cls(prizes, tuple(values))
+        return cls(prizes, [UtilityValue(*mapping[p]) for p in prizes])
 
     def value_of(self, prize: str) -> UtilityValue:
         return self.values[self.prizes.index(prize)]

@@ -6,8 +6,9 @@ paths (addition distributes over min, so the path expansion must agree),
 kappa is found by scanning exponents with exact rational arithmetic,
 never touching a logarithm, an act's lottery is a plain min over its row,
 the utility order is the standard-lottery case analysis rather than a
-subtraction, and the disagreement search compares every pair of
-candidate acts.
+subtraction, conditioning subtracts the event's degree member by member
+instead of renormalizing, and the disagreement search compares every pair
+of candidate acts.
 """
 
 from fractions import Fraction
@@ -98,6 +99,15 @@ def scan_kappa(p: Fraction, eps: Fraction):
         k += 1
     return k
 
+
+
+def shift_condition(fn, event) -> tuple:
+    """The potential conditioned on an event by the explicit S3 shift: each
+    member drops by the event's least degree, every other world goes to INF."""
+    members = set(event)
+    shift = min([v for w, v in zip(fn.frame, fn.potential) if w in members], default=INF)
+    return tuple([(v - shift if v != INF else INF) if w in members else INF
+                  for w, v in zip(fn.frame, fn.potential)])
 
 
 def scan_act_lottery(problem, act) -> SimpleLottery:

@@ -3,6 +3,26 @@
 Each test prints a single CRITERION n: PASS line when it succeeds (pytest
 reports the FAIL side); random suites are seeded so every run checks the
 same instances, and the timed suites assert their own runtime budgets.
+
+Each criterion's test fails on a one-line mutant of src/kappacalc:
+
+1. cli.py `_value`: "({}, {})  u = {}" loses one of its two spaces.
+2. lottery.py `Node`: a subtree's degrees compose as `(t := s)`, dropping
+   the branch degree `d + s`.
+3. utility.py `evaluate`: `min([d + v.toward_best ...` becomes
+   `min([v.toward_best ...`.
+4. lottery.py `Node`: the subtree fold's test gains `and j`, so no
+   subtree lowers the first prize.
+5. utility.py `scalar_utility`: `toward_worst - toward_best` becomes `+`.
+6. lottery.py `Node`: a leaf branch's `if d < acc[child.slot]` becomes
+   `if d > acc[child.slot] or acc[child.slot] == INF`, keeping the larger.
+7. decision.py `find_maximin_disagreement`: `below[w] < u` becomes `<=`;
+   both criterion 7 tests fail.
+8. oom_bridge.py `order_agreement`: `k + kappa_of(u, eps)` becomes
+   `k + 2 * kappa_of(u, eps)`.
+9. disbelief.py `condition`: `normalize_degrees(kept)` becomes `kept`.
+
+The summary test runs no library code, so no mutant applies to it.
 """
 
 import itertools

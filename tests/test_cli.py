@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gc
+import io
 import json
 import os
 import platform
@@ -666,3 +667,33 @@ class TestEntryPoints:
             proc = subprocess.run([sys.executable, "-m", "kappacalc", command, str(f)],
                                   capture_output=True, text=True, env=env)
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, ""), command
+
+    def test_text_mode_escapes_what_stdout_cannot_encode(self, tmp_path):
+        # an ASCII stdout, as under PYTHONIOENCODING=ascii, gets each label it
+        # cannot encode as a backslash escape, with the exit code UTF-8 gives
+        labels = {"prizes": ["\xe9", "b"], "lottery": "\xe9",
+                  "assessment": {"\xe9": [0, "inf"], "b": ["inf", 0]},
+                  "decision": {"states": ["s"], "belief": [0], "acts": ["\u884c\u52d5"],
+                               "outcome": {"\u884c\u52d5": ["b"]}},
+                  "prob_lottery": {"probs": [0.5, 0.5], "utils": [1, 0]}}
+        unknown = {"prizes": ["a", "b"], "lottery": "\xfc"}
+        cases = [
+            (labels, "reduce", 0, "\\xe9:0 b:inf\n"),
+            (labels, "rank", 0, "utility ranking:\n  \\u884c\\u52d5 (inf, 0)  u = -inf\n"
+                                "maximin ranking:\n  \\u884c\\u52d5 worst b\ndisagreement: no\n"),
+            (labels, "bridge", 0, "spohnian: \\xe9:0 b:0\neu = 0.5\nkappa(eu) = 0\n"
+                                  "qualitative = 0\ngap = 0\n"),
+            (unknown, "validate", 1,
+             "lottery: UnknownPrize: prize '\\xfc' is not in the prize set\n"),
+        ]
+        f = tmp_path / "labels.json"
+        for doc, command, code, out in cases:
+            f.write_text(json.dumps(doc))
+            for encoding, expected in (("utf-8", out.encode().decode("unicode_escape")),
+                                       ("ascii", out)):
+                stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    got = cli.main([command, str(f)])
+                stdout.flush()
+                assert (got, stdout.buffer.getvalue().decode(encoding), stderr.getvalue()) == (
+                    code, expected, ""), (command, encoding)

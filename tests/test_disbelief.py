@@ -14,6 +14,8 @@ from kappacalc.errors import (
     UnknownWorld,
 )
 
+from oracles import shift_condition
+
 W3 = Frame(("a", "b", "c"))
 
 
@@ -106,6 +108,18 @@ class TestCondition:
             fn.condition(("c",))
         with pytest.raises(ConditionOnDisbelievedCertainty):
             fn.condition(())
+        with pytest.raises(UnknownWorld):  # an unknown world outranks an impossible event
+            fn.condition(("c", "z"))
+
+    @given(potentials(max_degree=10**40), st.data())
+    def test_equals_the_explicit_shift(self, fn, data):
+        event = data.draw(st.sets(st.sampled_from(fn.frame.worlds)))
+        expected = shift_condition(fn, event)
+        if expected == (INF,) * len(fn.frame):
+            with pytest.raises(ConditionOnDisbelievedCertainty):
+                fn.condition(event)
+        else:
+            assert fn.condition(event).potential == expected
 
     @given(potential_and_events())
     def test_s1_restored_after_conditioning(self, fae):

@@ -1,5 +1,6 @@
 """Every input terminates: kappa_of returns or refuses, and every command
-on a mutated shipped fixture exits 0, 1 or 2, each within a time bound.
+on a mutated shipped fixture or a lottery tree hundreds of levels deep
+exits 0, 1 or 2, each within a time bound.
 The command writes to a stdout that encodes UTF-8 strictly, as a process's
 stdout does, and a file whose bytes are not UTF-8 JSON text exits 2.
 
@@ -13,7 +14,9 @@ import contextlib
 import io
 import json
 import math
+import random
 import signal
+import sys
 import time
 
 import pytest
@@ -22,8 +25,10 @@ from hypothesis import strategies as st
 
 from kappacalc import INF, cli, kappa_of
 from kappacalc.errors import OutOfRange
+from kappacalc.problemfile import parse_problem
 
 from conftest import PROBLEMS
+from oracles import path_sum_reduce
 
 
 class Overrun(Exception):
@@ -182,11 +187,12 @@ FORMATS = st.sampled_from([[], ["--json"]])
 
 
 def run_cli(argv: list) -> tuple:
-    """Exit code and stderr of one command, its stdout failing as a process's would."""
+    """Exit code, stdout and stderr of one command, its stdout failing as a process's would."""
     out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with time_bound(5.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 @given(st.data())
@@ -213,7 +219,7 @@ def test_every_command_exits_0_1_or_2_on_mutated_fixtures(workdir, data):
             st.integers(1, 2**20).map(lambda j: ["--epsilon", repr(1 + j * 2.0**-52)]),
             st.sampled_from([["--epsilon", e] for e in ("1", "1.01", "10", "0.5", "nan", "inf")]),
         ), label="epsilon")
-    code, err = run_cli(argv)
+    code, _, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, encode(doc)[:2000], err)
 
 
@@ -232,6 +238,104 @@ def test_every_command_exits_2_on_bytes_that_are_not_utf8_json_text(workdir, dat
     path = workdir / "bytes.json"
     path.write_bytes(raw[:at] + bad + raw[at:])
     argv = [data.draw(COMMANDS, label="command"), str(path), *data.draw(FORMATS, label="format")]
-    code, err = run_cli(argv)
+    code, _, err = run_cli(argv)
     assert code == 2, (argv, bad, at, err)
     assert err.startswith("parse error: ")
+
+
+# A deep tree is a spine of nodes.  Beside each spine branch a node has one to
+# three others, each to a prize or to a flat node over two prizes.  The decoder
+# recurses once per JSON level, and a tree level is two.
+DEEP_PRIZES = ["p1", "p2", "p3", "p4"]
+DEEP_SECTIONS = ('"assessment": {"p1": [0, "inf"], "p2": [0, 1], "p3": [1, 0], '
+                 '"p4": ["inf", 0]}, "decision": {"states": ["s"], "belief": [0], '
+                 '"acts": ["a"], "outcome": {"a": ["p2"]}}, '
+                 '"prob_lottery": {"probs": [0.5, 0.5, 0, 0], "utils": [1, 0.5, 0.5, 0]}')
+DEFECTS = {"negative delta": ("delta", -1), "non-integer delta": ("delta", 0.5),
+           "unknown child": ("child", '"zz"'), "empty child": ("child", "[]"),
+           "extra key": ("extra", ', "extra": 0'), "no 0 branch": None}
+
+
+def deep_tree(rng: random.Random, levels: int, defect, at: int) -> str:
+    """The JSON text of a lottery tree `levels` nodes deep, written without
+    recursion; `defect` (a DEFECTS key, or None) goes into the node at depth `at`."""
+    def degree():
+        return rng.choice([0, 1, 2, 3, "inf", rng.randrange(10**39, 10**40)])
+
+    def child():
+        a, b = rng.sample(DEEP_PRIZES, 2)
+        if rng.random() < 0.75:
+            return json.dumps(a)
+        return (f'[{{"delta": 0, "child": "{a}"}}, '
+                f'{{"delta": {json.dumps(degree())}, "child": "{b}"}}]')
+
+    opening, closing = [], []
+    for depth in range(levels):
+        side = [{"delta": degree(), "child": child(), "extra": ""}
+                for _ in range(rng.randint(1, 3))]
+        spine = {"delta": degree(), "child": None, "extra": ""}
+        entries = side[:]
+        if depth < levels - 1:
+            entries.insert(rng.randint(0, len(side)), spine)
+        rng.choice(entries)["delta"] = 0  # S1: the least branch degree is 0
+        if depth == at and defect == "no 0 branch":
+            for e in entries:
+                e["delta"] = e["delta"] if e["delta"] == "inf" else e["delta"] + 1
+        elif depth == at and defect is not None:
+            key, value = DEFECTS[defect]
+            rng.choice(side)[key] = value
+        texts = [f'{{"delta": {json.dumps(e["delta"])}, "child": '
+                 + (f'{e["child"]}{e["extra"]}}}' if e is not spine else "") for e in entries]
+        if spine not in entries:
+            opening.append(f"[{', '.join(texts)}]")
+        else:
+            i = entries.index(spine)
+            opening.append(f"[{', '.join(texts[:i + 1])}")
+            closing.append("}" + "".join(f", {t}" for t in texts[i + 1:]) + "]")
+    return "".join(opening) + "".join(reversed(closing))
+
+
+def _decoder_refuses(levels: int) -> bool:
+    try:
+        json.loads("[" * 2 * levels + "]" * 2 * levels)
+    except RecursionError:
+        return True
+    return False
+
+
+# A new process's recursion limit; hypothesis raises the limit while a test runs.
+# A tree whose JSON levels pass it is refused wherever the decoder is called
+# from, on a Python whose decoder the limit bounds (3.11 and older).
+PROCESS_LIMIT = sys.getrecursionlimit()
+REFUSED_LEVELS = PROCESS_LIMIT // 2 + 1
+DECODER_BOUNDED = _decoder_refuses(REFUSED_LEVELS)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_command_exits_0_1_or_2_on_deep_trees(workdir, data):
+    levels = data.draw(st.integers(50, 600), label="levels")
+    defect = data.draw(st.sampled_from([*[None] * len(DEFECTS), *DEFECTS]), label="defect")
+    at = data.draw(st.integers(0, levels - 1), label="at")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    path = workdir / "deep.json"
+    path.write_text(f'{{"prizes": {json.dumps(DEEP_PRIZES)}, {DEEP_SECTIONS}, '
+                    f'"lottery": {deep_tree(rng, levels, defect, at)}}}', encoding="utf-8")
+    command = data.draw(COMMANDS, label="command")
+    argv = [command, str(path), *data.draw(FORMATS, label="format")]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(PROCESS_LIMIT)
+    try:
+        code, out, err = run_cli(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 1, 2), (argv, levels, defect, err)
+    too_deep = err == "parse error: document nested too deeply to decode\n"
+    if DECODER_BOUNDED and levels >= REFUSED_LEVELS:
+        assert too_deep, (argv, levels, err)
+    if levels < 300:
+        assert "nested" not in err, (argv, levels, err)
+        if code == 0 and argv[0] == "reduce" and argv[-1] == "--json":
+            tree = parse_problem(path.read_text(encoding="utf-8")).lottery
+            deltas = [INF if d == "inf" else d for d in json.loads(out)["deltas"]]
+            assert deltas == list(path_sum_reduce(tree).deltas)

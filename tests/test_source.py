@@ -6,6 +6,7 @@ import importlib.util
 import io
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +43,16 @@ def test_no_source_imports_dataclasses():
         or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
     )
     assert importers == []
+
+
+def test_cli_start_loads_no_slow_module():
+    # the check above sees a direct import only; this one sees what importing
+    # the CLI loads, in an interpreter without site so that no .pth adds any
+    slow = ["dataclasses", "decimal", "fractions", "inspect"]
+    code = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import kappacalc.cli; "
+            f"print(sorted(set({slow!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_only_problemfile_spells_infinity():

@@ -137,6 +137,12 @@ class TestAssessment:
         with pytest.raises(UnassessedPrize):
             PrizeAssessment.from_map(O3, {"o1": (0, INF), "o3": (INF, 0)})
 
+    def test_from_map_takes_pairs_only(self):
+        # scale values go to the constructor, PrizeAssessment(prizes, values)
+        with pytest.raises(TypeError):
+            PrizeAssessment.from_map(O3, {"o1": UtilityValue(0, INF), "o2": (0, 1),
+                                          "o3": (INF, 0)})
+
     @pytest.mark.parametrize("values, error, message", [
         ((UtilityValue(0, INF), UtilityValue(0, 1)), UnassessedPrize,
          "2 values for 3 prizes"),

@@ -87,7 +87,7 @@ CASES = {
                        "kappa_of_eu=1, qualitative_eu=0, gap=1, eu=0.25)", ()),
     "ProblemFile": (lambda: ProblemFile(prizes(), assessment(), node(), decision(),
                                         prob_lottery(), 2.0),
-                    lambda: ProblemFile(prizes()),
+                    lambda: ProblemFile(prizes(), None, None, None, None, None),
                     f"ProblemFile(prizes={P}, assessment={PA}, lottery={N}, "
                     f"decision={DP}, prob_lottery={PL}, epsilon=2.0)", ()),
 }
@@ -132,6 +132,14 @@ class TestValueClass:
             assert twin == value and hash(twin) == hash(value)
             for attr in derived:
                 assert getattr(twin, attr) == getattr(value, attr)
+
+
+def test_record_classes_take_one_value_per_field():
+    # OrderAgreement and ProblemFile validate nothing, so Frozen stores their fields
+    with pytest.raises(TypeError, match="^OrderAgreement takes 5 values, got 2$"):
+        OrderAgreement(1, 2)
+    with pytest.raises(TypeError, match="^ProblemFile takes 6 values, got 0$"):
+        ProblemFile()
 
 
 def chain(depth: int, prizes: PrizeSet) -> Node:
