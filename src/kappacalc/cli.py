@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from typing import Optional
 
@@ -115,6 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # One command's objects hold no cycles and reference counting frees them,
+    # so the cyclic collector would only walk the growing tree: pause it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -138,3 +143,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as e:  # reaching this is a bug
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()

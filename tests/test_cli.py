@@ -15,7 +15,8 @@ from collections import Counter
 
 import pytest
 
-from kappacalc import cli, oom_bridge
+from kappacalc import cli, oom_bridge, problemfile
+from kappacalc.errors import KappaCalcError, ParseError
 
 from conftest import DATA, PROBLEMS, REPO
 from oracles import path_sum_reduce
@@ -590,6 +591,114 @@ def test_bridge_classifies_each_probability_once(monkeypatch, tmp_path, capsys):
         assert run("bridge", str(f), *fmt, capsys=capsys)[0] == 0
         assert [calls[p] for p in probs] == [1, 1, 1]
         assert calls[0.75] == 1
+
+
+def full_tree(rng: random.Random, height: int):
+    """A lottery document where each node has six branches, the least degree 0."""
+    if height == 0:
+        return rng.choice(["o1", "o2", "o3"])
+    deltas = [0, *rng.sample(range(1, 9), 5)]
+    rng.shuffle(deltas)
+    return [{"delta": d, "child": full_tree(rng, height - 1)} for d in deltas]
+
+
+def chain(depth: int):
+    """A lottery document `depth` levels deep, the deep child first."""
+    tree = "o1"
+    for _ in range(depth):
+        tree = [{"delta": 0, "child": tree}, {"delta": 3, "child": "o2"}]
+    return tree
+
+
+def lottery_text(tree) -> str:
+    return json.dumps({"prizes": ["o1", "o2", "o3"], "lottery": tree})
+
+
+class TestCollectorPause:
+    """main() pauses the cyclic garbage collector for one command.
+
+    A command's objects hold no reference cycles, so the collector would
+    only walk the tree being built; reference counting frees it all.
+    """
+
+    @pytest.fixture(autouse=True)
+    def collector_on_after(self):
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, enabled, capsys, monkeypatch):
+        def broken(*_):
+            raise RuntimeError("boom")
+
+        cases = [
+            (["reduce", path("depth2_tree.json"), "--json"], 0),
+            (["validate", data("bad_assessment.json")], 1),
+            (["reduce", "does_not_exist.json"], 2),
+            (["utility", path("earthquake.json")], 3),
+            (["reduce"], ("SystemExit", 2)),
+            (["nope", path("earthquake.json")], ("SystemExit", 2)),
+        ]
+        monkeypatch.setattr(cli, "evaluate", broken)
+        for argv, code in cases:
+            (gc.enable if enabled else gc.disable)()
+            assert outcome(argv, capsys)[0] == code
+            assert gc.isenabled() is enabled, argv
+
+    def test_no_collection_runs_during_a_command(self, tmp_path, capsys):
+        # without the pause, reducing a full 6^5 tree sets off about 30 collections
+        f = tmp_path / "full.json"
+        f.write_text(lottery_text(full_tree(random.Random(5), 5)))
+        starts = []
+
+        def count(phase, info):
+            frame = sys._getframe()
+            while frame is not None and frame.f_code is not cli.main.__code__:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:  # cli.main is on the stack
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            assert cli.main(["reduce", str(f), "--json"]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert json.loads(capsys.readouterr().out)["prizes"] == ["o1", "o2", "o3"]
+        assert starts == []
+
+    def test_reading_a_file_leaves_no_cyclic_garbage(self):
+        # so the pause defers no collection that could free anything
+        texts = {p.name: p.read_text(encoding="utf-8")
+                 for p in [*sorted(PROBLEMS.glob("*.json")), *sorted(DATA.glob("bad_*.json"))]}
+        texts["full 6^4"] = lottery_text(full_tree(random.Random(4), 4))
+        texts["chain 400"] = lottery_text(chain(400))
+        assert len(texts) == 15
+        gc.collect()
+        gc.disable()
+        for name, text in texts.items():
+            for read in (problemfile.parse_problem, problemfile.validate_problem):
+                try:
+                    read(text)
+                except (KappaCalcError, ParseError):
+                    pass
+                assert gc.collect() == 0, (name, read.__name__)
+
+    def test_paused_commands_leave_nothing_for_later(self):
+        # each --json emit leaves a few cycles of json's encoder closures,
+        # which the collector frees once it runs again
+        argvs = [["reduce", path("depth2_tree.json")], ["utility", path("earthquake.json")],
+                 ["rank", path("earthquake_decision.json")], ["rank", path("ab_witness.json")],
+                 ["bridge", path("bridge_powers.json")], ["validate", path("random_depth3.json")]]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            for argv in argvs:
+                assert cli.main([*argv, "--json"]) == 0
+            gc.collect()
+            before = len(gc.get_objects())
+            for i in range(300):
+                cli.main([*argvs[i % len(argvs)], "--json"])
+            gc.collect()
+        assert len(gc.get_objects()) - before < 100
 
 
 class TestEntryPoints:

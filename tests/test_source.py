@@ -33,16 +33,26 @@ def test_source_parses_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))
 
 
+def importers(module: str) -> list[str]:
+    """The package sources that import `module` directly."""
+    return sorted(
+        p.name for p in (REPO / "src" / "kappacalc").glob("*.py")
+        if any(isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == module
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))
+    )
+
+
 def test_no_source_imports_dataclasses():
     # the value classes are plain slotted classes; importing dataclasses costs
     # every CLI process about 25 ms
-    importers = sorted(
-        p.name for p in (REPO / "src" / "kappacalc").glob("*.py")
-        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
-    )
-    assert importers == []
+    assert importers("dataclasses") == []
+
+
+def test_only_the_cli_touches_the_garbage_collector():
+    # main() pauses the collector for one command; a library call leaves the
+    # process's collector as it found it
+    assert importers("gc") == ["cli.py"]
 
 
 def test_cli_start_loads_no_slow_module():
