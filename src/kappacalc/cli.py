@@ -16,7 +16,6 @@ import argparse
 import functools
 import gc
 import sys
-from typing import Optional
 
 from . import problemfile as pf
 from .decision import maximin_rank, rank_acts
@@ -33,7 +32,7 @@ def _value(doc: dict) -> str:  # a utility document, e.g. "(0, inf)  u = +inf"
     return "({}, {})  u = {}".format(*doc["value"], doc["scalar"])
 
 
-def _document(command: str, problem: pf.ProblemFile, epsilon: Optional[float]) -> dict:
+def _document(command: str, problem: pf.ProblemFile, epsilon: float | None) -> dict:
     """The result document of reduce, utility, rank or bridge."""
 
     def section(name: str):
@@ -114,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # One command's objects hold no cycles and reference counting frees them,
     # so the cyclic collector would only walk the growing tree: pause it.

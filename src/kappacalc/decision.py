@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from operator import add
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .degrees import Degree, Frozen, INF, Signed, show
 from .disbelief import DisbeliefFunction, Frame
@@ -166,7 +166,7 @@ def _problem_from_vectors(
     return DecisionProblem(("A", "B"), rows, belief, assessment)
 
 
-def find_maximin_disagreement(max_prizes: int, max_delta: int) -> Optional[DecisionProblem]:
+def find_maximin_disagreement(max_prizes: int, max_delta: int) -> DecisionProblem | None:
     """Search two-act problems for a qualitative-vs-maximin disagreement.
 
     Returns the first problem, in a fixed enumeration order, where the

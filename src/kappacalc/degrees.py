@@ -11,7 +11,7 @@ so the library skips a sum with an ``INF`` addend instead of computing it.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import AllInfinite
 

@@ -13,7 +13,7 @@ freely across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .degrees import Degree, Frozen, INF, Signed, check_degrees, normalize_degrees, show
 from .errors import (

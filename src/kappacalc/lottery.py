@@ -14,7 +14,7 @@ when it is built, from children already composed, so reduce reads the root.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .degrees import Degree, Frozen, INF, check_degree, check_degrees, show
 from .errors import (
@@ -222,6 +222,6 @@ def _unflatten(table: list) -> Node:
     return nodes[-1]
 
 
-Lottery = Union[Leaf, Node]
+Lottery = Leaf | Node
 
 make_node = Node  # the old name, kept until perfbench/run.py builds with Node (ROADMAP B)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .degrees import Degree, Frozen, INF, normalize_degrees, show
 from .errors import LengthMismatch, NotNormalized, OutOfRange
@@ -47,7 +47,7 @@ class EpsilonBase(Frozen):
         super().__init__(float(epsilon))
 
 
-Epsilon = Union[EpsilonBase, float, int]
+Epsilon = EpsilonBase | float | int
 
 
 def _epsilon_value(eps: Epsilon) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Optional
 
 from .decision import DecisionProblem
 from .degrees import Degree, Frozen, INF
@@ -48,7 +47,7 @@ def _reject_constant(name: str):
     raise ParseError(f"JSON constant {name} is not allowed; write \"inf\"")
 
 
-def _load_json(text: str) -> Any:
+def _load_json(text: str) -> object:
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
@@ -59,7 +58,7 @@ def _load_json(text: str) -> Any:
         raise ParseError("document nested too deeply to decode") from None
 
 
-def _need(doc: dict, key: str, kind: type, where: str) -> Any:
+def _need(doc: dict, key: str, kind: type, where: str) -> object:
     if key not in doc:
         raise ParseError(f"{where}: missing required key {key!r}")
     value = doc[key]
@@ -68,13 +67,13 @@ def _need(doc: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _string_list(value: Any, where: str) -> list[str]:
+def _string_list(value: object, where: str) -> list[str]:
     if not isinstance(value, list) or not {str}.issuperset(map(type, value)):
         raise ParseError(f"{where}: expected a list of strings")
     return value
 
 
-def degree_from_json(value: Any, where: str) -> Degree:
+def degree_from_json(value: object, where: str) -> Degree:
     if value == "inf":
         return INF
     if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
@@ -82,7 +81,7 @@ def degree_from_json(value: Any, where: str) -> Degree:
     raise ParseError(f"{where}: expected a non-negative integer or \"inf\", got {value!r}")
 
 
-def degree_to_json(value: Degree) -> Any:
+def degree_to_json(value: Degree) -> object:
     if value == INF:
         return "inf"
     try:
@@ -93,7 +92,7 @@ def degree_to_json(value: Degree) -> Any:
     return int(value)
 
 
-def _real_list(value: Any, where: str) -> list[float]:
+def _real_list(value: object, where: str) -> list[float]:
     out = []
     try:
         for x in value:
@@ -110,7 +109,7 @@ def _parse_prizes(doc: dict) -> PrizeSet:
     return PrizeSet(labels)
 
 
-def _parse_assessment(section: Any, prizes: PrizeSet) -> PrizeAssessment:
+def _parse_assessment(section: object, prizes: PrizeSet) -> PrizeAssessment:
     if not isinstance(section, dict):
         raise ParseError("assessment: expected an object mapping prize to [k1, kr]")
     mapping = {}
@@ -124,14 +123,14 @@ def _parse_assessment(section: Any, prizes: PrizeSet) -> PrizeAssessment:
     return PrizeAssessment.from_map(prizes, mapping)
 
 
-def _entry_defect(entry: Any) -> str:
+def _entry_defect(entry: object) -> str:
     if not isinstance(entry, dict):
         return "expected an object with delta and child"
     extra = sorted(set(entry) - {"delta", "child"})
     return f"unknown keys {extra!r}" if extra else "needs both delta and child"
 
 
-def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
+def _parse_lottery(section: object, prizes: PrizeSet) -> Lottery:
     """Build a tree without recursion, with one shared Leaf per prize label.
 
     A frame is (the entries left, index of the entry being built, branches,
@@ -142,7 +141,7 @@ def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
             return Leaf(section, prizes)
         raise ParseError("lottery: expected a prize name or a list of branches")
     leaves = {p: Leaf(p, prizes) for p in prizes}
-    stack: list[tuple[Any, int, list, Degree]] = []
+    stack: list[tuple[object, int, list, Degree]] = []
 
     def spot(i: int) -> str:
         return "lottery" + "".join(f"[{f[1]}].child" for f in stack) + f"[{i}]"
@@ -176,7 +175,7 @@ def _parse_lottery(section: Any, prizes: PrizeSet) -> Lottery:
             branches.append((delta, node))
 
 
-def _parse_decision(section: Any, assessment: Optional[PrizeAssessment]) -> DecisionProblem:
+def _parse_decision(section: object, assessment: PrizeAssessment | None) -> DecisionProblem:
     if not isinstance(section, dict):
         raise ParseError("decision: expected an object")
     if assessment is None:
@@ -207,7 +206,7 @@ def _parse_decision(section: Any, assessment: Optional[PrizeAssessment]) -> Deci
         raise
 
 
-def _parse_prob_lottery(section: Any, prizes: PrizeSet) -> tuple[ProbLottery, Optional[float]]:
+def _parse_prob_lottery(section: object, prizes: PrizeSet) -> tuple[ProbLottery, float | None]:
     if not isinstance(section, dict):
         raise ParseError("prob_lottery: expected an object")
     probs = _real_list(_need(section, "probs", list, "prob_lottery"), "prob_lottery.probs")
@@ -239,7 +238,7 @@ def validate_problem(text: str) -> list[str]:
     return diagnostics
 
 
-def _build_problem(text: str, collect: bool) -> tuple[Optional[ProblemFile], list[str]]:
+def _build_problem(text: str, collect: bool) -> tuple[ProblemFile | None, list[str]]:
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("document: expected a JSON object at the top level")

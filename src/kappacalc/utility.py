@@ -17,7 +17,7 @@ is the runtime checkpoint for that closure.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .degrees import Degree, Frozen, INF, Signed, check_degree, show
 from .errors import InvalidAssessment, NotNormalized, UnassessedPrize

@@ -58,7 +58,7 @@ def test_only_the_cli_touches_the_garbage_collector():
 def test_cli_start_loads_no_slow_module():
     # the check above sees a direct import only; this one sees what importing
     # the CLI loads, in an interpreter without site so that no .pth adds any
-    slow = ["dataclasses", "decimal", "fractions", "inspect"]
+    slow = ["dataclasses", "decimal", "fractions", "inspect", "typing"]
     code = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import kappacalc.cli; "
             f"print(sorted(set({slow!r}) & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)

@@ -14,6 +14,7 @@ from kappacalc import (
     EpsilonBase,
     Frame,
     Leaf,
+    Lottery,
     Node,
     OrderAgreement,
     PrizeAssessment,
@@ -22,6 +23,7 @@ from kappacalc import (
     SimpleLottery,
     UtilityValue,
 )
+from kappacalc.oom_bridge import Epsilon
 from kappacalc.problemfile import ProblemFile
 
 P = "PrizeSet(prizes=('a', 'b', 'c'))"
@@ -140,6 +142,15 @@ def test_record_classes_take_one_value_per_field():
         OrderAgreement(1, 2)
     with pytest.raises(TypeError, match="^ProblemFile takes 6 values, got 0$"):
         ProblemFile()
+
+
+def test_union_aliases_check_instances():
+    # Lottery and Epsilon are runtime unions, so isinstance accepts each member
+    assert isinstance(Leaf("b", prizes()), Lottery) and isinstance(node(), Lottery)
+    assert not isinstance(SimpleLottery(prizes(), (0, 1, 2)), Lottery)
+    for eps in (EpsilonBase(10), 10.0, 10):
+        assert isinstance(eps, Epsilon)
+    assert not isinstance("10", Epsilon)
 
 
 def chain(depth: int, prizes: PrizeSet) -> Node:
