@@ -12,7 +12,6 @@ prints it, and text mode prints lines read from its fields.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import sys
@@ -84,22 +83,56 @@ def _text(command: str, doc: dict) -> str:
     return text.encode(encoding, "backslashreplace").decode(encoding)
 
 
-@functools.cache  # built on the first main() call and shared after it: do not mutate
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {  # name: help; only bridge takes --epsilon
+    "validate": "parse a problem file and report every invariant violation",
+    "reduce": "collapse the lottery tree to a simple lottery",
+    "utility": "qualitative expected utility of the lottery",
+    "rank": "rank acts by utility and by maximin, side by side",
+    "bridge": "convert a probabilistic lottery and report the kappa gap",
+}
+
+
+def _plain(argv: list[str]) -> tuple[str, str, bool, float | None] | None:
+    """argparse's (command, file, json, epsilon) for a plain argv, else None.
+
+    Plain is a command, one file word not starting with "-", any number of
+    --json and, for bridge, --epsilon X with X not starting with "-" and
+    float(X) defined (the last one wins).  Help, abbreviations, --epsilon=X
+    and every usage error are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    files, json_mode, epsilon = [], False, None
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--json":
+            json_mode = True
+        elif word == "--epsilon" and argv[0] == "bridge":
+            value = next(words, "-")  # a missing X is refused like "-2"
+            if value.startswith("-"):
+                return None
+            try:
+                epsilon = float(value)
+            except ValueError:
+                return None
+        elif word.startswith("-"):
+            return None
+        else:
+            files.append(word)
+    return (argv[0], files[0], json_mode, epsilon) if len(files) == 1 else None
+
+
+@functools.cache  # built on the first argv _plain refuses and shared after it: do not mutate
+def _parser():
+    import argparse  # with the first build, about 7 ms of start that a plain argv never pays
+
     parser = argparse.ArgumentParser(
         prog="kappacalc",
         description="Epistemic-belief calculus over lotteries ranked by "
         "degrees of disbelief.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": "parse a problem file and report every invariant violation",
-        "reduce": "collapse the lottery tree to a simple lottery",
-        "utility": "qualitative expected utility of the lottery",
-        "rank": "rank acts by utility and by maximin, side by side",
-        "bridge": "convert a probabilistic lottery and report the kappa gap",
-    }
-    for name, help_text in specs.items():
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="problem file (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -114,24 +147,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    plain = _plain(argv)
+    if plain is None:
+        args = _parser().parse_args(argv)
+        plain = args.command, args.file, args.json, getattr(args, "epsilon", None)
+    command, file, json_mode, epsilon = plain
     # One command's objects hold no cycles and reference counting frees them,
     # so the cyclic collector would only walk the growing tree: pause it.
     collecting = gc.isenabled()
     gc.disable()
     try:
         try:
-            with open(args.file, "r", encoding="utf-8") as handle:
+            with open(file, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as e:
-            raise ParseError(f"cannot read {args.file}: {e.strerror or e}") from None
+            raise ParseError(f"cannot read {file}: {e.strerror or e}") from None
         except UnicodeDecodeError as e:
-            raise ParseError(f"cannot read {args.file}: not valid UTF-8 at byte {e.start}") from None
-        if args.command == "validate":
+            raise ParseError(f"cannot read {file}: not valid UTF-8 at byte {e.start}") from None
+        if command == "validate":
             doc = pf.emit_diagnostics(pf.validate_problem(text))
         else:
-            doc = _document(args.command, pf.parse_problem(text), getattr(args, "epsilon", None))
-        sys.stdout.write(pf.dumps(doc) if args.json else _text(args.command, doc))
+            doc = _document(command, pf.parse_problem(text), epsilon)
+        sys.stdout.write(pf.dumps(doc) if json_mode else _text(command, doc))
         return 0 if doc.get("ok", True) else 1  # only validate's document has "ok"
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -1,7 +1,9 @@
 import argparse
 import contextlib
 import gc
+import importlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -20,6 +22,7 @@ from kappacalc.errors import KappaCalcError, ParseError
 
 from conftest import DATA, PROBLEMS, REPO
 from oracles import path_sum_reduce
+from test_cli_golden import CASES
 
 
 def run(*argv, capsys=None):
@@ -463,9 +466,9 @@ class TestParserReuse:
     @pytest.fixture(autouse=True)
     def fresh_cache(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap at the terminal width
-        cli.build_parser.cache_clear()
+        cli._parser.cache_clear()
         yield
-        cli.build_parser.cache_clear()
+        cli._parser.cache_clear()
 
     def test_reused_parser_answers_like_a_fresh_one(self, capsys, tmp_path):
         f = tmp_path / "half.json"
@@ -491,12 +494,12 @@ class TestParserReuse:
         ]
         fresh = []
         for argv in calls:
-            cli.build_parser.cache_clear()
+            cli._parser.cache_clear()
             fresh.append(outcome(argv, capsys))
-        cli.build_parser.cache_clear()
+        cli._parser.cache_clear()
         reused = [outcome(argv, capsys) for argv in calls + calls]
         assert reused == fresh + fresh
-        assert cli.build_parser.cache_info().misses == 1
+        assert cli._parser.cache_info().misses == 1
         # the file's epsilon comes back once the flag is gone
         assert "kappa(eu) = 1\n" in fresh[0][1] and "kappa(eu) = 0\n" in fresh[1][1]
         assert fresh[1] == fresh[3] == fresh[12]
@@ -511,6 +514,7 @@ class TestParserReuse:
         assert "--epsilon EPSILON" in fresh[9][1]
 
     def test_fifty_calls_build_one_parser(self, capsys, monkeypatch):
+        # a plain argv builds none; one that argparse must answer builds all six once
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -522,8 +526,55 @@ class TestParserReuse:
         for _ in range(50):
             assert cli.main(["utility", path("earthquake.json")]) == 0
         assert capsys.readouterr().out == "(1, 0)  u = -1\n" * 50
+        assert built == []
+        assert cli.main(["bridge", path("bridge_powers.json"), "--epsilon", "2"]) == 0
+        plain = capsys.readouterr().out
+        assert built == []
+        for _ in range(50):
+            assert cli.main(["bridge", path("bridge_powers.json"), "--epsilon=2"]) == 0
+        assert capsys.readouterr().out == plain * 50
         assert built.count("kappacalc") == 1
         assert len(built) == 6  # the top-level parser and one per command
+
+
+class TestPlainArgv:
+    """The direct reader against argparse, on every short argv over a small alphabet."""
+
+    WORDS = [*cli._COMMANDS, "f.json", "", "-", "--", "-h", "--json", "--js", "--epsilon",
+             "--epsilon=2", "2", "-2", "-inf", "x", "nan", "inf", "1e400", " 3 ", "1_0",
+             "0x10"]
+
+    @staticmethod
+    def parsed(argv):
+        args = cli._parser().parse_args(argv)
+        return repr((args.command, args.file, args.json, getattr(args, "epsilon", None)))
+
+    def test_reader_answers_like_argparse(self):
+        accepted = [list(argv) for n in range(5)
+                    for argv in itertools.product(self.WORDS, repeat=n)
+                    if cli._plain(list(argv)) is not None]
+        assert len(accepted) > 300
+        # argparse exits on an argv it refuses, so each comparison also
+        # checks that the reader accepted nothing argparse refuses
+        for argv in accepted:
+            assert repr(cli._plain(argv)) == self.parsed(argv), argv
+        assert ["bridge", "nan", "--epsilon", "nan"] in accepted
+        assert ["bridge", "--epsilon", " 3 ", "f.json"] in accepted
+
+    def test_reader_takes_every_golden_and_bench_argv(self, tmp_path, monkeypatch):
+        last_wins = ["bridge", "--epsilon", "2", "f.json", "--json", "--epsilon", "1e400", "--json"]
+        assert cli._plain(last_wins) == ("bridge", "f.json", True, float("inf"))
+        argvs = [last_wins, *(case["args"] for case in CASES)]
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        inputs = importlib.import_module("inputs")
+        for workload in ("cli", "lottery", "rank", "bridge"):
+            workdir = tmp_path / workload
+            workdir.mkdir()
+            argvs += [list(op.args) for op in inputs.prepare(workload, 1, workdir, PROBLEMS)
+                      if op.kind != "search"]
+        assert len(argvs) > 300
+        for argv in argvs:
+            assert repr(cli._plain(argv)) == self.parsed(argv), argv
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
@@ -718,7 +769,7 @@ class TestEntryPoints:
         # dataclasses would pull in inspect, ast, dis and tokenize: a quarter of the start
         code = ("import sys, kappacalc.cli as cli; "
                 "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} "
-                "& set(sys.modules)), cli.build_parser.cache_info().currsize)")
+                "& set(sys.modules)), cli._parser.cache_info().currsize)")
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

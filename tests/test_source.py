@@ -58,11 +58,26 @@ def test_only_the_cli_touches_the_garbage_collector():
 def test_cli_start_loads_no_slow_module():
     # the check above sees a direct import only; this one sees what importing
     # the CLI loads, in an interpreter without site so that no .pth adds any
-    slow = ["dataclasses", "decimal", "fractions", "inspect", "typing"]
+    slow = ["argparse", "dataclasses", "decimal", "fractions", "inspect", "typing"]
     code = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import kappacalc.cli; "
             f"print(sorted(set({slow!r}) & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_plain_command_loads_no_argparse():
+    # argparse is imported for help and usage errors only
+    def run(argv):
+        code = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); import kappacalc.cli; "
+                f"code = kappacalc.cli.main({argv!r}); print('argparse' in sys.modules, code)")
+        return subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True)
+
+    proc = run(["validate", str(PROBLEMS / "earthquake.json")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\nFalse 0\n", "")
+    proc = run(["--help"])
+    assert (proc.returncode, proc.stdout.startswith("usage: kappacalc [-h]"), proc.stderr) == (
+        0, True, "")
 
 
 def test_only_problemfile_spells_infinity():
@@ -150,7 +165,6 @@ def test_public_functions_are_called_outside_tests():
     spec.loader.exec_module(tracing)
 
     called = set()
-    cli.build_parser.cache_clear()  # so that this run builds the parser again
 
     def profile(frame, event, _):
         if event == "call":
