@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from operator import add
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .degrees import Degree, Frozen, INF, Signed, show
 from .disbelief import DisbeliefFunction, Frame
@@ -130,20 +130,20 @@ def maximin_rank(problem: DecisionProblem) -> list[tuple[str, int]]:
     return ranked
 
 
-def _scalar_ladder(max_delta: int) -> list[Signed]:
-    """Candidate assessment scalars, best to worst, endpoints included."""
-    return [INF] + list(range(max_delta, -max_delta - 1, -1)) + [-INF]
-
-
 def _value_for_scalar(s: Signed) -> UtilityValue:
     return UtilityValue(0, s) if s >= 0 else UtilityValue(-s, 0)
 
 
-def _delta_vectors(r: int, max_delta: int) -> list[tuple[Degree, ...]]:
-    """All normalized delta vectors over r prizes with entries in
-    {0..max_delta} or INF."""
-    domain = list(range(max_delta + 1)) + [INF]
-    return [combo for combo in itertools.product(domain, repeat=r) if min(combo) == 0]
+def _scored_vectors(r: int, domain: list[Degree], ups: Sequence[Degree],
+                    downs: Sequence[Degree]) -> Iterator[tuple[tuple[Degree, ...], Signed, int]]:
+    """Normalized delta vectors over r prizes with entries in `domain`, in
+    product order, each with its scalar utility and worst prize index."""
+    for vec in itertools.product(domain, repeat=r):
+        if min(vec) == 0:
+            w = r - 1
+            while vec[w] == INF:
+                w -= 1
+            yield vec, min(map(add, vec, downs)) - min(map(add, vec, ups)), w
 
 
 def _problem_from_vectors(
@@ -169,39 +169,37 @@ def _problem_from_vectors(
 def find_maximin_disagreement(max_prizes: int, max_delta: int) -> DecisionProblem | None:
     """Search two-act problems for a qualitative-vs-maximin disagreement.
 
-    Returns the first problem, in a fixed enumeration order, where the
-    utility ranking strictly prefers one act and the maximin ranking
-    strictly prefers the other.  The two arguments bound the search, so
+    Returns the first problem where the utility ranking strictly prefers
+    one act and the maximin ranking strictly prefers the other, in this
+    order: for r = 3.. prizes, each strictly decreasing run of scalars
+    (the best prize pinned to +INF), then pairs (a, b) of normalized delta
+    vectors in row-major order.  The two arguments bound the search, so
     None means the space they span holds no witness.
+
+    A lottery is worth at least its worst reachable prize, and exactly
+    that when it yields the prize for certain.  So below[w], the least
+    utility of a vector whose worst index is under w, is the scalar of
+    prize w - 1 (+INF for w <= 1), and a has a witness b exactly when
+    below[w_a] < u_a.  No vector qualifies with two prizes.  For each run
+    one lazy scan finds the first such a and one more its first b.
     """
     if max_prizes < 2 or max_delta < 0:
         raise OutOfRange(
             f"need at least 2 prizes and a non-negative delta bound, "
             f"got ({max_prizes}, {max_delta})"
         )
-    for r in range(2, max_prizes + 1):
-        vectors = _delta_vectors(r, max_delta)
-        prizes = PrizeSet(tuple(f"o{i + 1}" for i in range(r)))
-        worsts = [worst_prize_index(SimpleLottery(prizes, v)) for v in vectors]
-        ladder = _scalar_ladder(max_delta)
-        # Non-best prizes take any strictly decreasing scalar run; the
-        # best prize is pinned to +INF by the assessment rule.
-        for tail in itertools.combinations(ladder[1:], r - 1):
+    for r in range(3, max_prizes + 1):  # so two prizes build nothing, whatever max_delta
+        domain = list(range(max_delta + 1)) + [INF]
+        ladder = list(range(max_delta, -max_delta - 1, -1)) + [-INF]
+        for tail in itertools.combinations(ladder, r - 1):
             scalars = (INF,) + tail
+            below = (INF,) + scalars[:-1]
             ups, downs = zip(*(_value_for_scalar(s).pair() for s in scalars))
-            utilities = [min(map(add, vec, downs)) - min(map(add, vec, ups)) for vec in vectors]
-            # Vector a has a witness b (lower utility, lower worst index)
-            # exactly when below[worst a], the least utility among vectors
-            # with a lower worst index, is under a's utility.  The first such
-            # a and its first b are where a row-major scan over (a, b) stops.
-            pairs = list(zip(utilities, worsts))
-            lowest = [INF] * r
-            for u, w in pairs:
-                lowest[w] = min(lowest[w], u)
-            below = [INF, *itertools.accumulate(lowest, min)]
-            ia = next((a for a, (u, w) in enumerate(pairs) if below[w] < u), None)
-            if ia is not None:
-                ua, wa = pairs[ia]
-                ib = next(b for b, (u, w) in enumerate(pairs) if u < ua and w < wa)
-                return _problem_from_vectors(r, scalars, vectors[ia], vectors[ib])
+            vectors = _scored_vectors(r, domain, ups, downs)
+            a = next(((vec, u, w) for vec, u, w in vectors if below[w] < u), None)
+            if a is not None:
+                vec_a, u_a, w_a = a
+                vec_b = next(vec for vec, u, w in _scored_vectors(r, domain, ups, downs)
+                             if u < u_a and w < w_a)
+                return _problem_from_vectors(r, scalars, vec_a, vec_b)
     return None

@@ -122,9 +122,10 @@ def scan_act_lottery(problem, act) -> SimpleLottery:
 def scan_disagreement(max_prizes: int, max_delta: int):
     """The maximin-disagreement search by comparing every ordered pair.
 
-    The enumeration is `find_maximin_disagreement`'s: for r = 2.. prizes,
-    each strictly decreasing run of assessment scalars (the best prize
-    pinned to +INF), then every (a, b) of normalized delta vectors in
+    The enumeration is `find_maximin_disagreement`'s, except that it starts
+    at r = 2 prizes, which the search skips as provably witness-free: for
+    each r, each strictly decreasing run of assessment scalars (the best
+    prize pinned to +INF), then every (a, b) of normalized delta vectors in
     row-major order.  Returns the first witness problem, or None.
     """
     from kappacalc.decision import _problem_from_vectors

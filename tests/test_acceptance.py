@@ -16,8 +16,9 @@ Each criterion's test fails on a one-line mutant of src/kappacalc:
 5. utility.py `scalar_utility`: `toward_worst - toward_best` becomes `+`.
 6. lottery.py `Node`: a leaf branch's `if d < acc[child.slot]` becomes
    `if d > acc[child.slot] or acc[child.slot] == INF`, keeping the larger.
-7. decision.py `find_maximin_disagreement`: `below[w] < u` becomes `<=`;
-   both criterion 7 tests fail.
+7. decision.py `find_maximin_disagreement`: `below[w] < u` becomes `<=`,
+   which fails the non-equivalence test; `range(3, max_prizes + 1)`
+   becomes `range(3, max_prizes + 2)`, which fails the two-prize test.
 8. oom_bridge.py `order_agreement`: `k + kappa_of(u, eps)` becomes
    `k + 2 * kappa_of(u, eps)`.
 9. disbelief.py `condition`: `normalize_degrees(kept)` becomes `kept`.

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -300,9 +302,10 @@ class TestDisagreementSearch:
         assert rank_acts(problem)[0][0] == maximin_rank(problem)[0][0] == "build"
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"^need at least 2 prizes and a "
+                           r"non-negative delta bound, got \(1, 5\)$"):
             find_maximin_disagreement(1, 5)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"got \(3, -1\)$"):
             find_maximin_disagreement(3, -1)
 
     def test_environment_does_not_bound_the_search(self, monkeypatch):
@@ -323,8 +326,10 @@ class TestDisagreementSearch:
 
 
 class TestSearchAgainstExhaustiveScan:
-    @pytest.mark.parametrize("r", [2, 3, 4])
-    @pytest.mark.parametrize("delta", [0, 1, 2, 3])
+    # the scan compares every pair from two prizes up, so it also checks
+    # that the search may skip r = 2
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 20, 40])
     def test_same_problem_with_and_without_a_bound(self, monkeypatch, r, delta):
         # the arguments are the only bound: setting the retired
         # KAPPA_SEARCH_BOUND variable changes nothing
@@ -332,3 +337,15 @@ class TestSearchAgainstExhaustiveScan:
         assert find_maximin_disagreement(r, delta) == expected
         monkeypatch.setenv("KAPPA_SEARCH_BOUND", "0")
         assert find_maximin_disagreement(r, delta) == expected
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("max_prizes, max_delta", [(3, 80), (2, 100_000)])
+    def test_search_returns_within_a_second(self, max_prizes, max_delta):
+        # a witness sits early in the first assessment with three prizes,
+        # and two prizes need no scan at all
+        start = time.perf_counter()
+        found = find_maximin_disagreement(max_prizes, max_delta)
+        elapsed = time.perf_counter() - start
+        assert (found is None) == (max_prizes == 2)
+        assert elapsed < 1, f"search took {elapsed:.2f} s"

@@ -24,7 +24,7 @@ from kappacalc.errors import (
 )
 
 from conftest import random_assessment, random_lottery, random_prizes, simple_node
-from oracles import compare_standard, path_sum_evaluate
+from oracles import compare_standard, path_sum_evaluate, path_sum_reduce
 
 O3 = PrizeSet(("o1", "o2", "o3"))
 A3 = PrizeAssessment.from_map(O3, {"o1": (0, INF), "o2": (0, 3), "o3": (INF, 0)})
@@ -111,6 +111,29 @@ class TestWeakOrder:
             if order[i][j] >= 0 and order[j][k] >= 0:
                 assert order[i][k] >= 0
             assert order[i][j] == compare_standard(oracle[i], oracle[j])
+
+
+class TestWorstPrizeBound:
+    @settings(derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_utility_lies_between_the_best_and_worst_reachable_prizes(self, rng):
+        # the bound find_maximin_disagreement rests on: a lottery is worth
+        # at least its worst reachable prize, exactly that when certain of it
+        prizes = random_prizes(rng)
+        assessment = random_assessment(rng, prizes)
+        tree = random_lottery(rng, prizes, depth=3, max_branch=4)
+        scalars = [scalar_utility(v) for v in assessment.values]
+        reached = [i for i, d in enumerate(tree.reduce().deltas) if d != INF]
+        assert reached == [i for i, d in enumerate(path_sum_reduce(tree).deltas) if d != INF]
+        best, worst = scalars[reached[0]], scalars[reached[-1]]
+        u = scalar_utility(evaluate(tree, assessment))
+        assert worst <= u <= best
+        oracle = path_sum_evaluate(tree, assessment)
+        assert oracle.toward_worst - oracle.toward_best == u
+        if isinstance(tree, Leaf):
+            assert u == worst == best
+        certain = Leaf(prizes.prizes[reached[-1]], prizes)
+        assert scalar_utility(evaluate(certain, assessment)) == worst
 
 
 class TestAssessment:
