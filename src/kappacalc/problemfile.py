@@ -23,7 +23,9 @@ module spells a degree or a scalar.
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .decision import DecisionProblem
 from .degrees import Degree, Frozen, INF
@@ -327,6 +329,29 @@ def emit_diagnostics(diagnostics: list[str]) -> dict:
 
 
 def dumps(doc: dict) -> str:
-    """The one JSON serialization used everywhere: sorted keys, 2-space
-    indent, no NaN/Infinity literals, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The one JSON serialization used everywhere: the bytes of `json.dumps(doc,
+    sort_keys=True, indent=2, allow_nan=False)` and a newline, written directly
+    since with an indent json runs a pure-Python encoder that leaves cycles."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value: object, indent: str) -> str:
+    """`value` as JSON text; `indent` is the line break and spaces of its own depth."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_encode(item, inner)}" for key, item in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    if isinstance(value, list):
+        items = [_encode(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -735,9 +735,22 @@ class TestCollectorPause:
                     pass
                 assert gc.collect() == 0, (name, read.__name__)
 
+    def test_json_output_leaves_no_cyclic_garbage(self):
+        # json.dumps with an indent runs a pure-Python encoder whose closures
+        # form cycles; problemfile.dumps writes each document without them
+        argvs = [["validate", path("random_depth3.json")], ["reduce", path("depth2_tree.json")],
+                 ["utility", path("earthquake.json")], ["rank", path("earthquake_decision.json")],
+                 ["bridge", path("bridge_powers.json")]]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            gc.collect()
+            gc.disable()
+            for argv in argvs:
+                assert cli.main([*argv, "--json"]) == 0
+                assert gc.collect() == 0, argv
+
     def test_paused_commands_leave_nothing_for_later(self):
-        # each --json emit leaves a few cycles of json's encoder closures,
-        # which the collector frees once it runs again
+        # whatever a paused command leaves behind, even a cycle, is freed
+        # once the collector runs again, so repeated commands do not grow the heap
         argvs = [["reduce", path("depth2_tree.json")], ["utility", path("earthquake.json")],
                  ["rank", path("earthquake_decision.json")], ["rank", path("ab_witness.json")],
                  ["bridge", path("bridge_powers.json")], ["validate", path("random_depth3.json")]]

@@ -1,20 +1,30 @@
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kappacalc import (
     INF,
+    EpsilonBase,
     Leaf,
     Node,
     OrderAgreement,
     PrizeSet,
     SimpleLottery,
     UtilityValue,
+    evaluate,
+    maximin_rank,
+    order_agreement,
+    rank_acts,
 )
+from kappacalc import problemfile
 from kappacalc.errors import EmptyList, NotNormalized, OutOfRange, ParseError, UnknownPrize
 from kappacalc.problemfile import (
     dumps,
     emit_bridge,
+    emit_diagnostics,
     emit_ranking,
     emit_simple_lottery,
     emit_utility_value,
@@ -22,7 +32,8 @@ from kappacalc.problemfile import (
     validate_problem,
 )
 
-from conftest import data_text, problem_text
+from conftest import PROBLEMS, data_text, problem_text
+from test_cli_golden import CASES, replay
 
 O3 = PrizeSet(("o1", "o2", "o3"))
 
@@ -418,3 +429,83 @@ class TestRoundTrips:
         assert text == '{\n  "a": [\n    "inf"\n  ],\n  "b": 1\n}\n'
         with pytest.raises(ValueError):
             dumps({"x": INF})  # raw infinities must never reach the encoder
+
+
+def oracle(value: object) -> str:
+    """The bytes `dumps` must write, from the stdlib's own encoder."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII, non-BMP and lone surrogates
+TRICKY = st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\x80\xe9\u2028\uffff\U0001f600\ud800\udfff')
+STRINGS = st.text(st.one_of(st.characters(), TRICKY))
+DIGITS = sys.get_int_max_str_digits() or 4300  # 0 would mean no limit
+NEAR_LIMIT = st.integers(10 ** (DIGITS - 1), 10 ** DIGITS - 1)
+INTS = st.one_of(st.integers(), NEAR_LIMIT, NEAR_LIMIT.map(lambda n: -n))
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.7976931348623157e308]),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTS, FLOATS, STRINGS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestWriterMatchesJson:
+    """`dumps` writes its documents itself; json.dumps is only its oracle here."""
+
+    @settings(derandomize=True, max_examples=400)
+    @given(JSON_VALUES)
+    @example({})
+    @example({"": [], "d": {}, "e": [[], {}, [{}]],
+              "n": [-(10 ** DIGITS - 1), 10 ** (DIGITS - 1)],
+              "f": [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.7976931348623157e308],
+              "s": "\"\\\x00\x1f\x7f\U0001f600\ud800", "z": [True, False, None]})
+    def test_same_bytes_as_json_dumps(self, value):
+        assert dumps(value) == oracle(value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_raise_json_dumps_error(self, bad):
+        with pytest.raises(ValueError) as expected:
+            oracle({"x": [bad]})
+        with pytest.raises(ValueError) as got:
+            dumps({"x": [bad]})
+        assert str(got.value) == str(expected.value)
+
+    def test_other_types_raise_type_error(self):
+        for bad in ({1}, object(), b"x"):
+            with pytest.raises(TypeError) as expected:
+                oracle({"x": bad})
+            with pytest.raises(TypeError) as got:
+                dumps({"x": bad})
+            assert str(got.value) == str(expected.value)
+
+    def test_every_fixture_document(self):
+        docs = []
+        for path in sorted(PROBLEMS.glob("*.json")):
+            text = path.read_text(encoding="utf-8")
+            problem = parse_problem(text)
+            docs.append(emit_diagnostics(validate_problem(text)))
+            if problem.lottery is not None:
+                docs.append(emit_simple_lottery(problem.lottery.reduce()))
+                if problem.assessment is not None:
+                    docs.append(emit_utility_value(evaluate(problem.lottery, problem.assessment)))
+            if problem.decision is not None:
+                d = problem.decision
+                docs.append(emit_ranking(rank_acts(d), maximin_rank(d), d.prizes))
+            if problem.prob_lottery is not None:
+                for eps in (10.0, 2.0, 1.01):
+                    docs.append(emit_bridge(order_agreement(problem.prob_lottery, EpsilonBase(eps))))
+        assert len(docs) > 20
+        assert [dumps(doc) for doc in docs] == [oracle(doc) for doc in docs]
+
+    def test_every_golden_json_document(self, monkeypatch):
+        docs = []
+        monkeypatch.setattr(problemfile, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+        json_cases = [case for case in CASES if "--json" in case["args"]]
+        for case in json_cases:
+            replay(case["args"])
+        assert (len(json_cases), len(docs)) == (65, sum(1 for c in json_cases if c["stdout"]))
+        assert [dumps(doc) for doc in docs] == [oracle(doc) for doc in docs]

@@ -43,6 +43,20 @@ def importers(module: str) -> list[str]:
     )
 
 
+def test_only_problemfile_dumps_writes_json():
+    # every document is written by problemfile.dumps, which writes json.dumps's
+    # bytes itself, so no module calls json.dump or json.dumps
+    def writes_json(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"
+                or isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(a.name in ("dump", "dumps") for a in node.names))
+
+    writers = sorted(p.name for p in (REPO / "src" / "kappacalc").glob("*.py")
+                     if any(map(writes_json, ast.walk(ast.parse(p.read_text(encoding="utf-8"))))))
+    assert writers == []
+
+
 def test_no_source_imports_dataclasses():
     # the value classes are plain slotted classes; importing dataclasses costs
     # every CLI process about 25 ms
