@@ -10,6 +10,8 @@ Reduction collapses a tree to a simple lottery by min-plus composition: a
 prize's degree is the minimum over branches of branch degree plus the
 child's collapsed degree for that prize.  Each node composes its branches
 when it is built, from children already composed, so reduce reads the root.
+`_compose` is the one fold, called by `Node(...)` after its checks and by
+`Node._from_checked` for the parser, which proved the branches as it read them.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ class Node(Frozen):
     Branches with INF degree are allowed (they are absorbed by the min),
     children may have unequal depths, and a child need not mention every
     prize; all children must draw from the same prize set, stored once.
-    Building the node checks each branch once and folds it into `deltas`,
-    the collapsed degree per prize, as the module docstring describes.
+    `Node(...)` checks each branch once and folds it with `_compose` into
+    `deltas`, the collapsed degree per prize, as the module docstring describes.
     """
 
     _fields = ("branches",)
@@ -115,9 +117,7 @@ class Node(Frozen):
 
     def __init__(self, branches: Iterable[tuple[Degree, "Lottery"]]):
         branches = tuple(branches)  # a tuple is returned as it is
-        if not branches:
-            raise EmptyBranches("a lottery node needs at least one branch")
-        prizes = acc = None
+        prizes = None
         loose = mismatch = False
         for pair in branches:
             d, child = pair
@@ -129,27 +129,28 @@ class Node(Frozen):
                 if not isinstance(child, (Leaf, Node)):
                     raise TypeError(f"branch child must be a lottery, got {show(child)}")
                 if prizes is None:
-                    prizes, acc = child.prizes, [INF] * len(child.prizes)
+                    prizes = child.prizes
                 if child.prizes is not prizes and child.prizes != prizes:
                     mismatch = True  # raised once every branch has been type-checked
-                    continue
-                if isinstance(child, Node):
-                    if d != INF:  # INF + s overflows for s past the float range
-                        for j, s in enumerate(child.deltas):
-                            if s < acc[j] and (t := d + s) < acc[j]:
-                                acc[j] = t
-                    continue
-            if d < acc[child.slot]:
-                acc[child.slot] = d
         if mismatch:
             raise PrizeSetMismatch("branches draw prizes from different prize sets")
-        if 0 not in acc:  # children are normalized, so min(acc) is the least branch degree
-            raise NotNormalized(f"S1 violated: minimum branch delta is {show(min(acc))}, expected 0")
         if loose:  # some pair is a list
             branches = tuple([(d, c) for d, c in branches])
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "prizes", prizes)
-        object.__setattr__(self, "deltas", tuple(acc))
+        self._store(branches, prizes)
+
+    @classmethod
+    def _from_checked(cls, branches: list, prizes: PrizeSet) -> "Node":
+        """`Node(branches)` for tuple pairs of proved degrees and children on `prizes` itself."""
+        node = object.__new__(cls)
+        node._store(tuple(branches), prizes)
+        return node
+
+    def _store(self, branches: tuple, prizes: PrizeSet) -> None:
+        if not branches:
+            raise EmptyBranches("a lottery node needs at least one branch")
+        _set_deltas(self, _compose(branches, len(prizes.prizes)))
+        _set_branches(self, branches)
+        _set_prizes(self, prizes)
 
     def __eq__(self, other):
         """As the nested branch tuples compare, without recursion or a pair walked twice."""
@@ -214,6 +215,22 @@ class Node(Frozen):
         return SimpleLottery(self.prizes, self.deltas)
 
 
+def _compose(branches: Iterable[tuple[Degree, Lottery]], width: int) -> tuple[Degree, ...]:
+    """The min-plus fold of checked branches into a node's per-prize `deltas`."""
+    acc = [INF] * width
+    for d, child in branches:
+        if isinstance(child, Leaf):
+            if d < acc[child.slot]:
+                acc[child.slot] = d
+        elif d != INF:  # INF + s overflows for s past the float range
+            for j, s in enumerate(child.deltas):
+                if s < acc[j] and (t := d + s) < acc[j]:
+                    acc[j] = t
+    if 0 not in acc:  # children are normalized, so min(acc) is the least branch degree
+        raise NotNormalized(f"S1 violated: minimum branch delta is {show(min(acc))}, expected 0")
+    return tuple(acc)
+
+
 def _unflatten(table: list) -> Node:
     """Rebuild the nodes `Node.__reduce__` listed; the last one is the root."""
     nodes = []
@@ -223,5 +240,6 @@ def _unflatten(table: list) -> Node:
 
 
 Lottery = Leaf | Node
+_set_branches, _set_prizes, _set_deltas = [Node.__dict__[f].__set__ for f in Node.__slots__]
 
 make_node = Node  # the old name, kept until perfbench/run.py builds with Node (ROADMAP B)

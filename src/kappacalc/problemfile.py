@@ -137,6 +137,8 @@ def _parse_lottery(section: object, prizes: PrizeSet) -> Lottery:
 
     A frame is (the entries left, index of the entry being built, branches,
     its degree); error locations are spelled out from the frames only on error.
+    Each finished list goes to `Node._from_checked`, which trusts what this loop
+    proved: tuple pairs, degrees int >= 0 or INF, the shared leaves or nodes built here.
     """
     if not isinstance(section, list):
         if isinstance(section, str):
@@ -168,7 +170,7 @@ def _parse_lottery(section: object, prizes: PrizeSet) -> Lottery:
             else:
                 raise ParseError(f"{spot(i)}.child: expected a prize name or a list of branches")
         else:
-            node = Node(branches)
+            node = Node._from_checked(branches, prizes)
             if not stack:
                 for d in node.deltas:  # two long degrees on one path can sum past writing
                     degree_to_json(d)

@@ -1,4 +1,6 @@
 import json
+import pickle
+import random
 import sys
 
 import pytest
@@ -20,7 +22,14 @@ from kappacalc import (
     rank_acts,
 )
 from kappacalc import problemfile
-from kappacalc.errors import EmptyList, NotNormalized, OutOfRange, ParseError, UnknownPrize
+from kappacalc.errors import (
+    EmptyList,
+    KappaCalcError,
+    NotNormalized,
+    OutOfRange,
+    ParseError,
+    UnknownPrize,
+)
 from kappacalc.problemfile import (
     dumps,
     emit_bridge,
@@ -32,7 +41,8 @@ from kappacalc.problemfile import (
     validate_problem,
 )
 
-from conftest import PROBLEMS, data_text, problem_text
+from conftest import PROBLEMS, data_text, problem_text, random_lottery, random_prizes
+from oracles import path_sum_reduce
 from test_cli_golden import CASES, replay
 
 O3 = PrizeSet(("o1", "o2", "o3"))
@@ -330,6 +340,135 @@ class TestEntryShapes:
         assert cli.main(["validate", str(f)]) == 1
         assert capsys.readouterr().out == (
             "lottery: EmptyBranches: a lottery node needs at least one branch\n")
+
+
+def decoded(lottery) -> object:
+    """The decoded JSON value that spells a lottery, written without recursion."""
+    if type(lottery) is Leaf:
+        return lottery.prize
+    top = []
+    todo = [(lottery, top)]
+    while todo:
+        node, out = todo.pop()
+        for d, child in node.branches:
+            entry = {"delta": "inf" if d == INF else d,
+                     "child": child.prize if type(child) is Leaf else []}
+            if type(child) is Node:
+                todo.append((child, entry["child"]))
+            out.append(entry)
+    return top
+
+
+def built_bottom_up(value: object, prizes: PrizeSet):
+    """A decoded lottery built with the public, checking constructors."""
+    if type(value) is str:
+        return Leaf(value, prizes)
+    return Node([(INF if e["delta"] == "inf" else e["delta"], built_bottom_up(e["child"], prizes))
+                 for e in value])
+
+
+def full_tree(prizes: PrizeSet, fanout: int, height: int, rng: random.Random):
+    level = [Leaf(rng.choice(prizes.prizes), prizes) for _ in range(fanout ** height)]
+    for _ in range(height):
+        level = [Node(zip([0] + [rng.choice([0, 1, 3, INF]) for _ in range(fanout - 1)],
+                          level[i:i + fanout]))
+                 for i in range(0, len(level), fanout)]
+    return level[0]
+
+
+def chain(prizes: PrizeSet, depth: int, rng: random.Random):
+    """Each level is (0, deeper) and (d, a leaf), d sometimes INF."""
+    tree = Leaf(prizes.best, prizes)
+    for _ in range(depth):
+        tree = Node(((0, tree), (rng.choice([1, 2, 7, INF]), Leaf(rng.choice(prizes.prizes),
+                                                                  prizes))))
+    return tree
+
+
+class TestParserBuildsWhatNodeBuilds:
+    """The parser composes through `Node._from_checked` without `Node(...)`'s
+    checks; what it builds must be the tree `Node(...)` builds from the same
+    branches, and a defect must give the same diagnostic."""
+
+    @staticmethod
+    def assert_same(parsed, built, oracle=True):
+        assert type(parsed) is Node and type(built) is Node
+        assert parsed == built and built == parsed
+        assert parsed.deltas == built.deltas
+        assert parsed.prizes == built.prizes
+        assert type(parsed.branches) is tuple and {tuple} == set(map(type, parsed.branches))
+        assert hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        twin = pickle.loads(pickle.dumps(parsed))
+        assert twin == built and twin.deltas == built.deltas
+        if oracle:  # the oracle recurses once per level
+            assert path_sum_reduce(parsed) == built.reduce() == parsed.reduce()
+
+    @staticmethod
+    def parsed(tree):
+        doc = {"prizes": list(tree.prizes), "lottery": decoded(tree)}
+        return parse_problem(json.dumps(doc)).lottery
+
+    def test_random_trees(self):
+        rng = random.Random(20080515)
+        for _ in range(300):
+            prizes = random_prizes(rng)
+            tree = random_lottery(rng, prizes, depth=rng.randint(1, 5), max_branch=5)
+            if type(tree) is Leaf:
+                tree = Node(((0, tree), (rng.choice([1, INF]), tree)))
+            self.assert_same(self.parsed(tree), tree)
+
+    @pytest.mark.parametrize("fanout, height", [(1, 3), (2, 6), (6, 3), (4, 4)])
+    def test_full_trees(self, fanout, height):
+        rng = random.Random(fanout * 10 + height)
+        tree = full_tree(PrizeSet(("a", "b", "c", "d", "e", "f")), fanout, height, rng)
+        self.assert_same(self.parsed(tree), tree)
+
+    def test_ragged_trees_and_inf_branches(self):
+        o = PrizeSet(("a", "b", "c", "d"))
+        a, b, c, d = (Leaf(p, o) for p in o)
+        deep = Node(((0, Node(((0, Node(((INF, a), (0, d))),), (2, b)))), (1, c)))
+        trees = [
+            Node(((0, a), (INF, b))),
+            Node(((INF, a), (0, deep), (INF, Node(((0, c),))))),
+            Node(((3, deep), (0, b), (0, Node(((0, a), (4, deep)))), (INF, deep))),
+            Node(((0, Node(((0, Node(((0, d),))),))),)),
+        ]
+        for tree in trees:
+            self.assert_same(self.parsed(tree), tree)
+
+    @pytest.mark.parametrize("depth", [1_000, 10_000])
+    def test_deep_chains(self, depth):
+        # json.loads refuses nesting this deep (ROADMAP L), so the builder
+        # gets the decoded document that parse_problem would hand it
+        o = PrizeSet(("a", "b", "c"))
+        tree = chain(o, depth, random.Random(depth))
+        parsed = problemfile._parse_lottery(decoded(tree), o)
+        self.assert_same(parsed, tree, oracle=False)
+        best = dict.fromkeys(o, INF)
+        best["a"] = 0
+        node = tree
+        while type(node) is Node:
+            (_, node), (d, leaf) = node.branches
+            best[leaf.prize] = min(best[leaf.prize], d)
+        assert parsed.deltas == tuple(best.values())
+
+    @pytest.mark.parametrize(
+        "lottery",
+        [
+            [{"delta": 0, "child": [{"delta": 1, "child": "o1"}, {"delta": 0, "child": []}]}],
+            [{"delta": 0, "child": [{"delta": 0, "child": [{"delta": 0, "child": [
+                {"delta": 1, "child": "o1"}, {"delta": 2, "child": "o2"}]}]}]},
+             {"delta": 4, "child": "o3"}],
+            [{"delta": 0, "child": "o1"}, {"delta": 0, "child": [{"delta": 0, "child": "o9"}]}],
+        ],
+        ids=["empty-branches", "not-normalized-three-down", "unknown-prize"],
+    )
+    def test_validate_diagnostics(self, lottery):
+        with pytest.raises(KappaCalcError) as caught:
+            built_bottom_up(lottery, O3)
+        expected = f"lottery: {type(caught.value).__name__}: {caught.value}"
+        assert validate_problem(TestNestedErrorMessages.lottery_doc(lottery)) == [expected]
 
 
 class TestValidateCollection:

@@ -57,6 +57,27 @@ def test_only_problemfile_dumps_writes_json():
     assert writers == []
 
 
+def test_one_min_plus_fold():
+    # lottery._compose is the one for loop over enumerate(<node>.deltas), and
+    # the parser hands its proved branches to it rather than reading leaf slots
+    def folds(func):
+        return any(isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                   and isinstance(loop.iter.func, ast.Name) and loop.iter.func.id == "enumerate"
+                   and any(isinstance(a, ast.Attribute) and a.attr == "deltas"
+                           for a in loop.iter.args)
+                   for loop in ast.walk(func))
+
+    folders, slot_readers = set(), set()
+    for path in sorted((REPO / "src" / "kappacalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        folders |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and folds(node)}
+        if any(isinstance(node, ast.Attribute) and node.attr == "slot" for node in ast.walk(tree)):
+            slot_readers.add(path.name)
+    assert folders == {"lottery._compose"}
+    assert "problemfile.py" not in slot_readers
+
+
 def test_no_source_imports_dataclasses():
     # the value classes are plain slotted classes; importing dataclasses costs
     # every CLI process about 25 ms

@@ -23,6 +23,8 @@ from kappacalc import (
     SimpleLottery,
     UtilityValue,
 )
+from kappacalc import lottery
+from kappacalc.errors import NotNormalized, PrizeSetMismatch
 from kappacalc.oom_bridge import Epsilon
 from kappacalc.problemfile import ProblemFile
 
@@ -199,6 +201,44 @@ def test_shared_subtrees_pickle_once_and_stay_shared():
         tree = Node(((0, tree), (3, tree)))
     twin = pickle.loads(pickle.dumps(tree))
     assert twin == tree and twin.branches[0][1] is twin.branches[1][1]
+
+
+class Table:
+    """Pickles as the node that `Node.__reduce__`'s flat table `rows` lists."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __reduce__(self):
+        return lottery._unflatten, (self.rows,)
+
+
+@pytest.mark.parametrize(
+    "row, branches, error",
+    [
+        (0, ((0, "a"), (-1, "b")), TypeError),
+        (1, ((0, 0), (1, "other")), PrizeSetMismatch),
+        (1, ((1, 0), (2, "c")), NotNormalized),
+    ],
+    ids=["negative-degree", "other-prize-set", "all-positive"],
+)
+def test_tampered_pickles_are_refused_as_node_refuses(row, branches, error):
+    # unpickling builds through Node(...), so a table no Node could have
+    # written is refused with Node's own error and message
+    o = PrizeSet(("a", "b", "c"))
+    leaves = {p: Leaf(p, o) for p in o} | {"other": Leaf("c", PrizeSet(("a", "b", "c", "d")))}
+    tree = Node(((0, Node(((0, leaves["a"]), (2, leaves["b"])))), (1, leaves["c"])))
+    _, (table,) = tree.__reduce__()
+    assert pickle.loads(pickle.dumps(Table(table))) == tree
+    table[row] = tuple([(d, c if type(c) is int else leaves[c]) for d, c in branches])
+    with pytest.raises(error) as direct:
+        nodes = []
+        for rows in table:
+            nodes.append(Node([(d, nodes[c] if type(c) is int else c) for d, c in rows]))
+    with pytest.raises(error) as loaded:
+        pickle.loads(pickle.dumps(Table(table)))
+    assert type(loaded.value) is type(direct.value) is error
+    assert str(loaded.value) == str(direct.value)
 
 
 def test_deep_repr_matches_the_nested_form():
