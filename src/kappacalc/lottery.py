@@ -116,27 +116,17 @@ class Node(Frozen):
     __slots__ = (*_fields, "prizes", "deltas")
 
     def __init__(self, branches: Iterable[tuple[Degree, "Lottery"]]):
-        branches = tuple(branches)  # a tuple is returned as it is
-        prizes = None
-        loose = mismatch = False
-        for pair in branches:
-            d, child = pair
-            if type(pair) is not tuple:
-                loose = True
-            if type(d) is not int or d < 0:  # plain ints need no further check
-                check_degree(d)
-            if type(child) is not Leaf or child.prizes is not prizes:  # else a plain leaf, same set
-                if not isinstance(child, (Leaf, Node)):
-                    raise TypeError(f"branch child must be a lottery, got {show(child)}")
-                if prizes is None:
-                    prizes = child.prizes
-                if child.prizes is not prizes and child.prizes != prizes:
-                    mismatch = True  # raised once every branch has been type-checked
-        if mismatch:
+        pairs, prizes = [], None
+        for d, child in branches:
+            check_degree(d)
+            if not isinstance(child, (Leaf, Node)):
+                raise TypeError(f"branch child must be a lottery, got {show(child)}")
+            if prizes is None:
+                prizes = child.prizes
+            pairs.append((d, child))
+        if any(c.prizes is not prizes and c.prizes != prizes for _, c in pairs):
             raise PrizeSetMismatch("branches draw prizes from different prize sets")
-        if loose:  # some pair is a list
-            branches = tuple([(d, c) for d, c in branches])
-        self._store(branches, prizes)
+        self._store(tuple(pairs), prizes)
 
     @classmethod
     def _from_checked(cls, branches: list, prizes: PrizeSet) -> "Node":

@@ -178,12 +178,9 @@ def order_agreement(lottery: ProbLottery, eps: Epsilon = 10.0) -> OrderAgreement
     eu = vnm_eu(lottery)
     kappa_eu = kappa_of(min(eu, 1.0), eps)  # the sum tolerance lets eu pass 1 by 1e-9
     terms = [k + kappa_of(u, eps) for k, u in zip(kappas, lottery.utils) if u > 0]
-    qualitative = min(terms) if terms else INF
-    if kappa_eu == INF and qualitative == INF:
-        gap = 0
-    else:
-        gap = kappa_eu - qualitative
-    return OrderAgreement(spohnian, kappa_eu, qualitative, int(gap), eu)
+    qualitative = min(terms)  # utils[0] is 1, so terms is never empty
+    gap = 0 if kappa_eu == INF else kappa_eu - qualitative  # INF on both sides or neither
+    return OrderAgreement(spohnian, kappa_eu, qualitative, gap, eu)
 
 
 def agreement_bound(num_prizes: int, eps: Epsilon = 10.0) -> int:

@@ -12,8 +12,8 @@ probability section.
 Two failure families, kept apart because the CLI maps them to different
 exit codes: ParseError for a document whose shape is wrong (bad JSON,
 wrong types, missing keys), KappaCalcError for a well-shaped document
-whose values break a calculus invariant.  `validate_problem` collects the
-latter per section instead of stopping at the first.
+whose values break a calculus invariant.  Both entry points decode, then
+`_build_problem` builds; `validate_problem` collects the latter per section.
 
 The emit_* functions below define each command's result document.  `--json`
 prints the document and text mode reads its lines from it, so only this
@@ -104,11 +104,6 @@ def _real_list(value: object, where: str) -> list[float]:
     except OverflowError:
         raise ParseError(f"{where}: integer too large for a float") from None
     return out
-
-
-def _parse_prizes(doc: dict) -> PrizeSet:
-    labels = _string_list(_need(doc, "prizes", list, "document"), "prizes")
-    return PrizeSet(labels)
 
 
 def _parse_assessment(section: object, prizes: PrizeSet) -> PrizeAssessment:
@@ -228,57 +223,54 @@ def _parse_prob_lottery(section: object, prizes: PrizeSet) -> tuple[ProbLottery,
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse a problem document, raising on the first defect of any kind."""
-    return _build_problem(text, collect=False)[0]
+    """Decode a problem document and build it, raising on the first defect of any kind."""
+    return _build_problem(_load_json(text), None)
 
 
 def validate_problem(text: str) -> list[str]:
-    """All calculus-invariant diagnostics in the document, section by section.
+    """Decode a problem document and list its calculus-invariant diagnostics by section.
 
     Shape defects still raise ParseError immediately; an empty list means
     the document is clean.
     """
-    _, diagnostics = _build_problem(text, collect=True)
+    diagnostics: list[str] = []
+    _build_problem(_load_json(text), diagnostics)
     return diagnostics
 
 
-def _build_problem(text: str, collect: bool) -> tuple[ProblemFile | None, list[str]]:
-    doc = _load_json(text)
+def _build_problem(doc: object, diagnostics: list[str] | None) -> ProblemFile | None:
+    """Build a decoded document's sections in order.  With `diagnostics` None the
+    first KappaCalcError raises; else each is appended and its section is None."""
     if not isinstance(doc, dict):
         raise ParseError("document: expected a JSON object at the top level")
     unknown = set(doc) - set(KNOWN_SECTIONS)
     if unknown:
         raise ParseError(f"document: unknown sections {sorted(unknown)!r}")
-    diagnostics: list[str] = []
 
-    def run(section: str, thunk):
+    def run(section: str, parse, *context):
+        if section not in doc:
+            return None
         try:
-            return thunk()
+            return parse(doc[section], *context)
         except KappaCalcError as e:
-            if not collect:
+            if diagnostics is None:
                 raise
             diagnostics.append(f"{section}: {type(e).__name__}: {e}")
             return None
 
-    prizes = run("prizes", lambda: _parse_prizes(doc))
+    _need(doc, "prizes", list, "document")
+    prizes = run("prizes", lambda labels: PrizeSet(_string_list(labels, "prizes")))
     if prizes is None:
-        return None, diagnostics
-    assessment = lottery = decision = prob = None
-    epsilon = None
-    if "assessment" in doc:
-        assessment = run("assessment", lambda: _parse_assessment(doc["assessment"], prizes))
-    if "lottery" in doc:
-        lottery = run("lottery", lambda: _parse_lottery(doc["lottery"], prizes))
-    if "decision" in doc:
-        if "assessment" in doc and assessment is None:  # only collecting gets here
-            diagnostics.append("decision: skipped (assessment section is invalid)")
-        else:
-            decision = run("decision", lambda: _parse_decision(doc["decision"], assessment))
-    if "prob_lottery" in doc:
-        parsed = run("prob_lottery", lambda: _parse_prob_lottery(doc["prob_lottery"], prizes))
-        if parsed is not None:
-            prob, epsilon = parsed
-    return ProblemFile(prizes, assessment, lottery, decision, prob, epsilon), diagnostics
+        return None
+    assessment = run("assessment", _parse_assessment, prizes)
+    lottery = run("lottery", _parse_lottery, prizes)
+    decision = None
+    if "decision" in doc and "assessment" in doc and assessment is None:  # only collecting
+        diagnostics.append("decision: skipped (assessment section is invalid)")
+    else:
+        decision = run("decision", _parse_decision, assessment)
+    prob, epsilon = run("prob_lottery", _parse_prob_lottery, prizes) or (None, None)
+    return ProblemFile(prizes, assessment, lottery, decision, prob, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ same instances, and the timed suites assert their own runtime budgets.
 Each criterion's test fails on a one-line mutant of src/kappacalc:
 
 1. cli.py `_value`: "({}, {})  u = {}" loses one of its two spaces.
-2. lottery.py `Node`: a subtree's degrees compose as `(t := s)`, dropping
+2. lottery.py `_compose`: a subtree's degrees compose as `(t := s)`, dropping
    the branch degree `d + s`.
 3. utility.py `evaluate`: `min([d + v.toward_best ...` becomes
    `min([v.toward_best ...`.
-4. lottery.py `Node`: the subtree fold's test gains `and j`, so no
+4. lottery.py `_compose`: the subtree fold's test gains `and j`, so no
    subtree lowers the first prize.
 5. utility.py `scalar_utility`: `toward_worst - toward_best` becomes `+`.
-6. lottery.py `Node`: a leaf branch's `if d < acc[child.slot]` becomes
+6. lottery.py `_compose`: a leaf branch's `if d < acc[child.slot]` becomes
    `if d > acc[child.slot] or acc[child.slot] == INF`, keeping the larger.
 7. decision.py `find_maximin_disagreement`: `below[w] < u` becomes `<=`,
    which fails the non-equivalence test; `range(3, max_prizes + 1)`

@@ -257,6 +257,8 @@ class TestProbLottery:
     def test_validation(self):
         with pytest.raises(LengthMismatch):
             ProbLottery(O3, (0.5, 0.5), (1, 0.5, 0))
+        with pytest.raises(LengthMismatch, match=r"^2 utilities for 3 prizes$"):
+            ProbLottery(O3, (0.5, 0.3, 0.2), (1, 0))
         with pytest.raises(NotNormalized):
             ProbLottery(O2, (0.7, 0.2), (1, 0))
         with pytest.raises(OutOfRange):
@@ -354,6 +356,31 @@ class TestAgreement:
             utils = (1.0, *mids, 0.0)
             report = order_agreement(ProbLottery(prizes, probs, utils))
             assert abs(report.gap) <= agreement_bound(r)
+
+    # zero, subnormal and tiny values, so that products p * u underflow
+    tiny = st.sampled_from([0.0, 5e-324, 2.5e-310, 1e-200, 1e-12])
+
+    @given(st.data(), st.integers(2, 5), st.sampled_from([10, 2, 1.5]))
+    @settings(max_examples=400)
+    def test_infinite_on_both_sides_or_neither(self, data, r, eps):
+        small = st.one_of(self.tiny, st.floats(0.0, 1.0 / r))
+        probs = data.draw(st.lists(small, min_size=r - 1, max_size=r - 1))
+        probs.insert(data.draw(st.integers(0, r - 1)), 1.0 - math.fsum(probs))
+        mids = data.draw(st.lists(st.one_of(self.tiny, unit_open),
+                                  min_size=r - 2, max_size=r - 2))
+        utils = (1.0, *sorted(mids, reverse=True), 0.0)
+        prizes = PrizeSet(tuple(f"p{i}" for i in range(r)))
+        try:
+            lot = ProbLottery(prizes, probs, utils)
+        except OutOfRange as e:  # an expected utility that underflows is refused
+            assert "underflows" in str(e)
+            return
+        report = order_agreement(lot, eps)
+        assert (report.kappa_of_eu == INF) == (report.qualitative_eu == INF)
+        if report.kappa_of_eu == INF:
+            assert report.gap == 0
+        else:
+            assert type(report.gap) is int
 
     def test_agreement_bound_values(self):
         with pytest.raises(OutOfRange, match="^a lottery has at least 2 prizes, got 1$"):

@@ -136,6 +136,16 @@ class TestParsing:
         for text in bad:
             with pytest.raises(ParseError):
                 parse_problem(text)
+        for text, message in [
+            ('{"prizes": ["o1", "o2"], "prob_lottery": [0.5, 0.5]}',
+             "prob_lottery: expected an object"),
+            ('{"lottery": "o1"}', "document: missing required key 'prizes'"),
+            ('{"prizes": ["o1", "o2"], "prob_lottery": {"probs": [0.5, "0.5"], "utils": [1, 0]}}',
+             "prob_lottery.probs: expected a number, got '0.5'"),
+        ]:
+            with pytest.raises(ParseError) as refused:
+                parse_problem(text)
+            assert str(refused.value) == message
 
     def test_decision_outcome_row_checks(self):
         base = (

@@ -78,6 +78,22 @@ def test_one_min_plus_fold():
     assert "problemfile.py" not in slot_readers
 
 
+def test_decode_stays_apart_from_build():
+    # parse_problem and validate_problem decode, and _build_problem builds from
+    # the decoded document, so the two layers can be timed apart (ROADMAP D1)
+    def names_load_json(func):
+        return any(isinstance(n, ast.Name) and n.id == "_load_json"
+                   or isinstance(n, ast.Attribute) and n.attr == "_load_json"
+                   for n in ast.walk(func))
+
+    callers = set()
+    for path in sorted((REPO / "src" / "kappacalc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and names_load_json(node)}
+    assert callers == {"problemfile.parse_problem", "problemfile.validate_problem"}
+
+
 def test_no_source_imports_dataclasses():
     # the value classes are plain slotted classes; importing dataclasses costs
     # every CLI process about 25 ms
