@@ -1,5 +1,3 @@
-import sys
+from .cli import _run
 
-from .cli import main
-
-sys.exit(main())
+_run()

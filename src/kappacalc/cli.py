@@ -7,7 +7,8 @@ Commands: validate, reduce, utility, rank, bridge.  Exit codes: 0 success,
 read or parsed, 3 an internal invariant broke (a bug, not bad input).
 
 Each command builds one result document with a `problemfile` emitter: `--json`
-prints it, and text mode prints lines read from its fields.
+prints it, and text mode prints lines read from its fields.  `_run` is the
+process entry of `python -m kappacalc` and of the kappacalc script.
 """
 
 from __future__ import annotations
@@ -184,3 +185,11 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+def _run() -> None:
+    """The process entry: exit with main()'s code, skipping the shutdown collections."""
+    try:
+        sys.exit(main())
+    finally:  # frozen objects are left to the OS, which frees them with the process
+        gc.freeze()

@@ -9,10 +9,11 @@ ran, as `path:line: source`.  A line is executable when `co_lines()` of the
 module's compiled code, or of a code object nested in it, maps an
 instruction to it.
 
-The tracer slows the suite several-fold, so timed tests may go over their
-budgets; this script reports lines, not a pass or fail.  Code that runs only
-in a child process (`python -m kappacalc`) is never seen here.  The script
-uses the standard library and pytest only; pytest does not collect it.
+The script exits 1 when a line never ran and 0 when every line did, whatever
+the tests' own results: the tracer slows the suite several-fold, so timed
+tests may go over their budgets.  The suite runs `python -m kappacalc`'s
+entry in process too, through `runpy`.  The script uses the standard library
+and pytest only; pytest does not collect it.
 """
 
 import sys
@@ -66,7 +67,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
             missed += 1
     print(f"{missed} executable lines not run", file=sys.stderr)
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import os
 import platform
 import random
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -791,6 +792,17 @@ class TestEntryPoints:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0\n", "")
 
+    @staticmethod
+    def declared_script() -> list[str]:
+        """The `[project.scripts]` target, run the way the generated script runs it."""
+        import tomllib  # Python 3.11+; only needed without an install
+
+        with open(REPO / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["kappacalc"]
+        module, func = target.split(":")
+        code = f"import sys; from {module} import {func}; sys.exit({func}())"
+        return [sys.executable, "-c", code]
+
     def test_console_script(self):
         """The installed script if there is one, else the declared target.
 
@@ -803,17 +815,48 @@ class TestEntryPoints:
         if shutil.which("kappacalc"):
             command = ["kappacalc", *argv]
         else:
-            import tomllib  # Python 3.11+; only needed without an install
-
-            with open(REPO / "pyproject.toml", "rb") as handle:
-                target = tomllib.load(handle)["project"]["scripts"]["kappacalc"]
-            module, func = target.split(":")
-            code = f"import sys; from {module} import {func}; sys.exit({func}())"
-            command = [sys.executable, "-c", code, *argv]
+            command = [*self.declared_script(), *argv]
             env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         proc = subprocess.run(command, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout == "o1:4 o2:0 o3:0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["utility", path("earthquake.json")],
+        ["validate", data("bad_assessment.json")],  # exit 1
+        ["validate", data("bad_syntax.json")],  # a parse error, exit 2
+        ["frobnicate", path("earthquake.json")],  # a usage error, exit 2
+        ["--help"],
+    ], ids=["exit-0", "exit-1", "parse-error", "usage-error", "help"])
+    def test_each_entry_answers_as_main_and_freezes_at_exit(self, argv, tmp_path, capsys,
+                                                            monkeypatch):
+        # a sitecustomize on the child's path sets an atexit hook, which runs
+        # after _run's freeze and before the interpreter's shutdown collections
+        frozen = str(tmp_path / "frozen")
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, gc\n"
+            f"atexit.register(lambda: print(gc.get_freeze_count(), file=open({frozen!r}, 'a')))\n")
+        monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap at the terminal width
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(REPO / "src")])}
+        code, out, err = outcome(argv, capsys)
+        expected = (code[1] if isinstance(code, tuple) else code, out, err)
+        for command in ([sys.executable, "-m", "kappacalc"], self.declared_script()):
+            proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected, command
+        counts = [int(line) for line in (tmp_path / "frozen").read_text().splitlines()]
+        assert len(counts) == 2 and min(counts) > 0, counts
+
+    def test_module_entry_runs_in_process(self, capsys, monkeypatch):
+        # __main__.py and main()'s own reading of sys.argv, under the tests
+        monkeypatch.setattr(sys, "argv", ["kappacalc", "utility", path("earthquake.json")])
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as done:
+                runpy.run_module("kappacalc", run_name="__main__")
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        assert (done.value.code, *capsys.readouterr()) == (0, "(1, 0)  u = -1\n", "")
 
     def test_text_mode_writes_a_lone_surrogate_as_json_does(self, tmp_path):
         # "\ud800" decodes to a str that UTF-8 cannot encode; a process's stdout

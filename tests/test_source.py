@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kappacalc import cli
 
 from conftest import PROBLEMS, REPO
@@ -104,6 +106,30 @@ def test_only_the_cli_touches_the_garbage_collector():
     # main() pauses the collector for one command; a library call leaves the
     # process's collector as it found it
     assert importers("gc") == ["cli.py"]
+
+
+def test_only_the_process_entry_freezes_the_collector():
+    # cli._run freezes what is alive before the process exits; main(), which
+    # in-process callers use, and every library call never freeze
+    def freezes(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "freeze"
+                   and isinstance(n.value, ast.Name) and n.value.id == "gc"
+                   or isinstance(n, ast.ImportFrom) and n.module == "gc"
+                   for n in ast.walk(node))
+
+    freezers = {f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for path in sorted((REPO / "src" / "kappacalc").glob("*.py"))
+                for top in ast.parse(path.read_text(encoding="utf-8")).body if freezes(top)}
+    assert freezers == {"cli._run"}
+
+
+def test_both_entries_start_at_the_process_entry():
+    # python -m kappacalc and the kappacalc script both run kappacalc.cli._run
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["scripts"] == {"kappacalc": "kappacalc.cli:_run"}
+    main = ast.parse((REPO / "src" / "kappacalc" / "__main__.py").read_text(encoding="utf-8"))
+    assert ast.dump(main) == ast.dump(ast.parse("from .cli import _run\n_run()"))
 
 
 def test_cli_start_loads_no_slow_module():
