@@ -2,9 +2,9 @@
 
     kappacalc <command> <file> [--json] [--epsilon <real>]
 
-Commands: validate, reduce, utility, rank, bridge.  Exit codes: 0 success,
-1 a value in the file violates a calculus invariant, 2 the file cannot be
-read or parsed, 3 an internal invariant broke (a bug, not bad input).
+Commands: validate, reduce, utility, rank, bridge.  Exit codes: 0 success, 1 a
+value in the file violates a calculus invariant, 2 the file cannot be read or
+parsed or the output cannot be written, 3 an internal invariant broke (a bug).
 
 Each command builds one result document with a `problemfile` emitter: `--json`
 prints it, and text mode prints lines read from its fields.  `_run` is the
@@ -13,8 +13,8 @@ process entry of `python -m kappacalc` and of the kappacalc script.
 
 from __future__ import annotations
 
-import functools
 import gc
+import os
 import sys
 
 from . import problemfile as pf
@@ -123,9 +123,8 @@ def _plain(argv: list[str]) -> tuple[str, str, bool, float | None] | None:
     return (argv[0], files[0], json_mode, epsilon) if len(files) == 1 else None
 
 
-@functools.cache  # built on the first argv _plain refuses and shared after it: do not mutate
 def _parser():
-    import argparse  # with the first build, about 7 ms of start that a plain argv never pays
+    import argparse  # about 7 ms of start that a plain argv never pays
 
     parser = argparse.ArgumentParser(
         prog="kappacalc",
@@ -147,9 +146,7 @@ def _parser():
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def main(argv: list[str]) -> int:
     plain = _plain(argv)
     if plain is None:
         args = _parser().parse_args(argv)
@@ -171,7 +168,13 @@ def main(argv: list[str] | None = None) -> int:
             doc = pf.emit_diagnostics(pf.validate_problem(text))
         else:
             doc = _document(command, pf.parse_problem(text), epsilon)
-        sys.stdout.write(pf.dumps(doc) if json_mode else _text(command, doc))
+        out = pf.dumps(doc) if json_mode else _text(command, doc)
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        except OSError as e:  # a full disk, a closed pipe
+            print(f"error: cannot write output: {e.strerror or e}", file=sys.stderr)
+            return 2
         return 0 if doc.get("ok", True) else 1  # only validate's document has "ok"
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
@@ -188,8 +191,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run() -> None:
-    """The process entry: exit with main()'s code, skipping the shutdown collections."""
+    """The process entry: exit with main's code for sys.argv, skipping the shutdown collections."""
     try:
-        sys.exit(main())
+        code = main(sys.argv[1:])
+        try:
+            sys.stdout.flush()
+        except OSError:  # main reported it; the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(code)
     finally:  # frozen objects are left to the OS, which frees them with the process
         gc.freeze()

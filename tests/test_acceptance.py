@@ -41,7 +41,6 @@ from kappacalc import (
     UtilityValue,
     evaluate,
     find_maximin_disagreement,
-    make_node,
     maximin_rank,
     order_agreement,
     rank_acts,
@@ -163,7 +162,7 @@ def test_criterion_4_substitutability():
         sub = _subtree_at(tree, path)
         value = evaluate(sub, assessment)
         # the standard equivalent, embedded in the full prize set
-        equivalent = make_node(
+        equivalent = Node(
             [
                 (value.toward_best, Leaf(prizes.best, prizes)),
                 (value.toward_worst, Leaf(prizes.worst, prizes)),
@@ -196,7 +195,7 @@ def test_criterion_6_coarseness_witness():
                         prizes,
                         {"top": (0, INF), "o": (0, kappa), "bottom": (INF, 0)},
                     )
-                    tree = make_node(
+                    tree = Node(
                         [(0, Leaf("o", prizes)), (delta, Leaf("o", prizes))]
                     )
                 else:

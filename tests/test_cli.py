@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import gc
 import importlib
 import io
@@ -42,6 +43,18 @@ def data(name: str) -> str:
 
 # the two ends of the scale: the best prize (0, inf), the worst (inf, 0)
 ENDS = {"o1": [0, "inf"], "o2": ["inf", 0]}
+
+NO_SPACE = "error: cannot write output: No space left on device\n"
+
+
+def unwritable(method: str) -> io.StringIO:
+    """A stdout whose write or flush fails as on a full disk."""
+    def fail(*_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = io.StringIO()
+    setattr(out, method, fail)
+    return out
 
 
 class TestHumanOutput:
@@ -283,6 +296,12 @@ class TestExitCodes:
             3, "", "internal error: RuntimeError: boom\n"
         )
 
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_unwritable_output_is_2(self, method, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", unwritable(method))
+        for command in ("validate", "utility"):
+            assert run(command, path("earthquake.json"), capsys=capsys)[::2] == (2, NO_SPACE)
+
     def hostile(self, capsys, tmp_path, raw: bytes):
         f = tmp_path / "hostile.json"
         f.write_bytes(raw)
@@ -463,15 +482,12 @@ def outcome(argv, capsys):
     return code, out, err
 
 
-class TestParserReuse:
+class TestArgparseFallback:
     @pytest.fixture(autouse=True)
-    def fresh_cache(self, monkeypatch):
+    def columns(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap at the terminal width
-        cli._parser.cache_clear()
-        yield
-        cli._parser.cache_clear()
 
-    def test_reused_parser_answers_like_a_fresh_one(self, capsys, tmp_path):
+    def test_argparse_answers_help_and_usage_errors(self, capsys, tmp_path):
         f = tmp_path / "half.json"
         f.write_text(json.dumps({
             "prizes": ["o1", "o2"],
@@ -493,29 +509,22 @@ class TestParserReuse:
             ["bridge", f, "--epsilon", "x"],
             ["bridge", f],
         ]
-        fresh = []
-        for argv in calls:
-            cli._parser.cache_clear()
-            fresh.append(outcome(argv, capsys))
-        cli._parser.cache_clear()
-        reused = [outcome(argv, capsys) for argv in calls + calls]
-        assert reused == fresh + fresh
-        assert cli._parser.cache_info().misses == 1
+        results = [outcome(argv, capsys) for argv in calls]
         # the file's epsilon comes back once the flag is gone
-        assert "kappa(eu) = 1\n" in fresh[0][1] and "kappa(eu) = 0\n" in fresh[1][1]
-        assert fresh[1] == fresh[3] == fresh[12]
-        code, out, err = fresh[4]
+        assert "kappa(eu) = 1\n" in results[0][1] and "kappa(eu) = 0\n" in results[1][1]
+        assert results[1] == results[3] == results[12]
+        code, out, err = results[4]
         assert (code, out) == (("SystemExit", 2), "")
         assert err.startswith("usage: kappacalc bridge [-h] [--json] [--epsilon EPSILON] file\n")
-        assert fresh[6][0] == fresh[11][0] == ("SystemExit", 2)
-        assert "invalid choice: 'frobnicate'" in fresh[6][2]
-        assert "invalid float value: 'x'" in fresh[11][2]
-        assert fresh[8][0] == fresh[9][0] == ("SystemExit", 0)
-        assert fresh[8][1].startswith("usage: kappacalc [-h]")
-        assert "--epsilon EPSILON" in fresh[9][1]
+        assert results[6][0] == results[11][0] == ("SystemExit", 2)
+        assert "invalid choice: 'frobnicate'" in results[6][2]
+        assert "invalid float value: 'x'" in results[11][2]
+        assert results[8][0] == results[9][0] == ("SystemExit", 0)
+        assert results[8][1].startswith("usage: kappacalc [-h]")
+        assert "--epsilon EPSILON" in results[9][1]
 
-    def test_fifty_calls_build_one_parser(self, capsys, monkeypatch):
-        # a plain argv builds none; one that argparse must answer builds all six once
+    def test_only_argparse_calls_build_parsers(self, capsys, monkeypatch):
+        # a plain argv builds none; each argv that argparse must answer builds all six
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -531,11 +540,11 @@ class TestParserReuse:
         assert cli.main(["bridge", path("bridge_powers.json"), "--epsilon", "2"]) == 0
         plain = capsys.readouterr().out
         assert built == []
-        for _ in range(50):
+        for _ in range(2):
             assert cli.main(["bridge", path("bridge_powers.json"), "--epsilon=2"]) == 0
-        assert capsys.readouterr().out == plain * 50
-        assert built.count("kappacalc") == 1
-        assert len(built) == 6  # the top-level parser and one per command
+        assert capsys.readouterr().out == plain * 2
+        assert built.count("kappacalc") == 2
+        assert len(built) == 12  # the top-level parser and one per command, each call
 
 
 class TestPlainArgv:
@@ -546,11 +555,12 @@ class TestPlainArgv:
              "0x10"]
 
     @staticmethod
-    def parsed(argv):
-        args = cli._parser().parse_args(argv)
+    def parsed(parser, argv):
+        args = parser.parse_args(argv)
         return repr((args.command, args.file, args.json, getattr(args, "epsilon", None)))
 
     def test_reader_answers_like_argparse(self):
+        parser = cli._parser()
         accepted = [list(argv) for n in range(5)
                     for argv in itertools.product(self.WORDS, repeat=n)
                     if cli._plain(list(argv)) is not None]
@@ -558,7 +568,7 @@ class TestPlainArgv:
         # argparse exits on an argv it refuses, so each comparison also
         # checks that the reader accepted nothing argparse refuses
         for argv in accepted:
-            assert repr(cli._plain(argv)) == self.parsed(argv), argv
+            assert repr(cli._plain(argv)) == self.parsed(parser, argv), argv
         assert ["bridge", "nan", "--epsilon", "nan"] in accepted
         assert ["bridge", "--epsilon", " 3 ", "f.json"] in accepted
 
@@ -574,8 +584,9 @@ class TestPlainArgv:
             argvs += [list(op.args) for op in inputs.prepare(workload, 1, workdir, PROBLEMS)
                       if op.kind != "search"]
         assert len(argvs) > 300
+        parser = cli._parser()
         for argv in argvs:
-            assert repr(cli._plain(argv)) == self.parsed(argv), argv
+            assert repr(cli._plain(argv)) == self.parsed(parser, argv), argv
 
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
@@ -696,6 +707,10 @@ class TestCollectorPause:
             (gc.enable if enabled else gc.disable)()
             assert outcome(argv, capsys)[0] == code
             assert gc.isenabled() is enabled, argv
+        (gc.enable if enabled else gc.disable)()
+        with contextlib.redirect_stdout(unwritable("write")):
+            assert cli.main(["reduce", path("depth2_tree.json")]) == 2
+        assert gc.isenabled() is enabled
 
     def test_no_collection_runs_during_a_command(self, tmp_path, capsys):
         # without the pause, reducing a full 6^5 tree sets off about 30 collections
@@ -779,19 +794,6 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "(1, 0)  u = -1\n"
 
-    def test_import_builds_no_parser_and_loads_no_exact_arithmetic(self):
-        # dataclasses would pull in inspect, ast, dis and tokenize: a quarter of the start
-        code = ("import sys, kappacalc.cli as cli; "
-                "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} "
-                "& set(sys.modules)), cli._parser.cache_info().currsize)")
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0\n", "")
-
     @staticmethod
     def declared_script() -> list[str]:
         """The `[project.scripts]` target, run the way the generated script runs it."""
@@ -846,8 +848,43 @@ class TestEntryPoints:
         counts = [int(line) for line in (tmp_path / "frozen").read_text().splitlines()]
         assert len(counts) == 2 and min(counts) > 0, counts
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_each_entry_exits_2_on_a_full_disk(self, unbuffered):
+        # buffered, the write fails at the flush in main, and once more at the
+        # flush in _run, which then points stdout at the null device so that
+        # the flush at exit cannot fail a third time
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(REPO / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for command in ([sys.executable, "-m", "kappacalc"], self.declared_script()):
+            for argv in (["utility", path("earthquake.json")],
+                         ["rank", path("earthquake_decision.json"), "--json"]):
+                with open("/dev/full", "w") as full:
+                    proc = subprocess.run([*command, *argv], stdout=full, stderr=subprocess.PIPE,
+                                          text=True, env=env)
+                assert (proc.returncode, proc.stderr) == (2, NO_SPACE), (command, argv)
+
+    def test_entry_points_an_unwritable_stdout_at_the_null_device(self, capsys, monkeypatch,
+                                                                  tmp_path):
+        # in process: the entry's own flush fails as main's did, and the
+        # descriptor under stdout then refers to the null device
+        with open(tmp_path / "out", "w") as target:
+            out = unwritable("flush")
+            out.fileno = target.fileno
+            monkeypatch.setattr(sys, "stdout", out)
+            monkeypatch.setattr(sys, "argv", ["kappacalc", "utility", path("earthquake.json")])
+            try:
+                with pytest.raises(SystemExit) as done:
+                    cli._run()
+            finally:
+                gc.unfreeze()
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert (done.value.code, capsys.readouterr().err) == (2, NO_SPACE)
+
     def test_module_entry_runs_in_process(self, capsys, monkeypatch):
-        # __main__.py and main()'s own reading of sys.argv, under the tests
+        # __main__.py and _run's reading of sys.argv, under the tests
         monkeypatch.setattr(sys, "argv", ["kappacalc", "utility", path("earthquake.json")])
         before = gc.get_freeze_count()
         try:

@@ -12,7 +12,6 @@ from kappacalc import (
     PrizeSet,
     SimpleLottery,
     evaluate,
-    make_node,
     normalize_degrees,
 )
 from kappacalc.errors import (
@@ -83,15 +82,15 @@ class TestTreeValidation:
 
     def test_node_normalization(self):
         with pytest.raises(NotNormalized, match="S1"):
-            make_node([(1, Leaf("o1", O3)), (2, Leaf("o2", O3))])
+            Node([(1, Leaf("o1", O3)), (2, Leaf("o2", O3))])
 
     def test_mixed_prize_sets_rejected(self):
         other = PrizeSet(("x", "y"))
         with pytest.raises(PrizeSetMismatch):
-            make_node([(0, Leaf("o1", O3)), (0, Leaf("x", other))])
+            Node([(0, Leaf("o1", O3)), (0, Leaf("x", other))])
 
     def test_inf_branch_is_allowed(self):
-        node = make_node([(0, Leaf("o1", O3)), (INF, Leaf("o3", O3))])
+        node = Node([(0, Leaf("o1", O3)), (INF, Leaf("o3", O3))])
         assert node.reduce().deltas == (0, INF, INF)
 
 
@@ -103,7 +102,7 @@ class TestReduce:
         # the worked two-level example: [[o1.4, o2.0, o3.0].0, [o1.0, o3.2].5]
         inner1 = simple_node(O3, {"o1": 4, "o2": 0, "o3": 0})
         inner2 = simple_node(O3, {"o1": 0, "o3": 2})
-        tree = make_node([(0, inner1), (5, inner2)])
+        tree = Node([(0, inner1), (5, inner2)])
         assert tree.reduce().deltas == (4, 0, 0)
 
     def test_missing_branch_means_unreachable(self):
@@ -116,7 +115,7 @@ class TestReduce:
 
     def test_degenerate_chain_accumulates(self):
         # single-branch nodes stack their (necessarily 0) degrees
-        tree = make_node([(0, make_node([(0, Leaf("o2", O3))]))])
+        tree = Node([(0, Node([(0, Leaf("o2", O3))]))])
         assert tree.reduce() == Leaf("o2", O3).reduce()
 
     def test_matches_path_oracle_on_random_trees(self, rng):
@@ -130,14 +129,14 @@ class TestReduce:
         big = 10**400
         dead = simple_node(O3, {"o2": 0})  # (INF, 0, INF)
         far = simple_node(O3, {"o2": big, "o3": 0})  # (INF, big, 0)
-        tree = make_node([(0, Leaf("o1", O3)), (big, dead), (INF, far)])
+        tree = Node([(0, Leaf("o1", O3)), (big, dead), (INF, far)])
         assert tree.reduce().deltas == (0, big, INF)
-        assert make_node([(0, tree), (big, far)]).reduce().deltas == (0, big, big)
+        assert Node([(0, tree), (big, far)]).reduce().deltas == (0, big, big)
 
     def test_reduce_normalized_even_with_inf_subtrees(self):
         # a subtree reachable only through an INF branch stays unreachable
         dead = simple_node(O3, {"o2": 0})
-        tree = make_node([(0, Leaf("o1", O3)), (INF, dead)])
+        tree = Node([(0, Leaf("o1", O3)), (INF, dead)])
         assert tree.reduce().deltas == (0, INF, INF)
 
 
@@ -149,14 +148,14 @@ class TestDeepAndSharedTrees:
         # every level is (0, deeper) and (1, o3), the deeper child first
         tree = Leaf("o1", O3)
         for _ in range(100_000):
-            tree = make_node([(0, tree), (1, Leaf("o3", O3))])
+            tree = Node([(0, tree), (1, Leaf("o3", O3))])
         assert tree.reduce().deltas == (0, INF, 1)
         assert evaluate(tree, EQ3).pair() == (0, 1)
 
     def test_shared_subtrees_match_path_oracles(self, rng):
         shared = simple_node(O3, {"o2": 0, "o3": 3})
-        mid = make_node([(0, shared), (2, Leaf("o1", O3))])
-        tree = make_node([(1, shared), (0, mid), (4, make_node([(0, mid), (2, shared)]))])
+        mid = Node([(0, shared), (2, Leaf("o1", O3))])
+        tree = Node([(1, shared), (0, mid), (4, Node([(0, mid), (2, shared)]))])
         assert tree.reduce() == path_sum_reduce(tree)
         assert evaluate(tree, EQ3).pair() == path_sum_evaluate(tree, EQ3)
         for _ in range(100):
@@ -165,7 +164,7 @@ class TestDeepAndSharedTrees:
             for _ in range(8):
                 n = rng.randint(1, 3)
                 deltas = [0] + [rng.choice([0, 1, 4, INF]) for _ in range(n - 1)]
-                pool.append(make_node(zip(deltas, rng.sample(pool, n))))
+                pool.append(Node(zip(deltas, rng.sample(pool, n))))
             dag = pool[-1]
             assert dag.reduce() == path_sum_reduce(dag)
             assert evaluate(dag, EQ3).pair() == path_sum_evaluate(dag, EQ3)
@@ -174,7 +173,7 @@ class TestDeepAndSharedTrees:
         # 2**60 root-to-leaf paths over 61 distinct nodes
         tree = simple_node(O3, {"o1": 0, "o3": 5})
         for _ in range(60):
-            tree = make_node([(0, tree), (3, tree)])
+            tree = Node([(0, tree), (3, tree)])
         assert tree.reduce().deltas == (0, INF, 5)
         assert evaluate(tree, EQ3).pair() == (0, 5)
 
@@ -184,13 +183,13 @@ class TestDeepAndSharedTrees:
         def dag():
             tree = simple_node(O3, {"o1": 0, "o3": 5})
             for _ in range(22):
-                tree = make_node([(0, tree), (3, tree)])
+                tree = Node([(0, tree), (3, tree)])
             return tree
 
         def chain():
             tree = Leaf("o1", O3)
             for _ in range(5_000):
-                tree = make_node([(0, tree), (1, Leaf("o3", O3))])
+                tree = Node([(0, tree), (1, Leaf("o3", O3))])
             return tree
 
         pairs = [(dag(), dag()), (chain(), chain())]
@@ -236,7 +235,7 @@ class TestConstruction:
             Node(tuple([list(p) for p in pairs])),
             Node(p for p in pairs),
             Node(list(pairs)),
-            make_node([[0, inner], [1, C], [INF, B]]),
+            Node([[0, inner], [1, C], [INF, B]]),
         ):
             assert other == built
             assert hash(other) == hash(built)

@@ -123,6 +123,21 @@ def test_only_the_process_entry_freezes_the_collector():
     assert freezers == {"cli._run"}
 
 
+def test_only_the_process_entry_reads_sys_argv():
+    # main(argv) takes its words from the caller; cli._run hands it sys.argv[1:]
+    def reads_argv(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "argv"
+                   and isinstance(n.value, ast.Name) and n.value.id == "sys"
+                   or isinstance(n, ast.ImportFrom) and n.module == "sys"
+                   and any(a.name == "argv" for a in n.names)
+                   for n in ast.walk(node))
+
+    readers = {f"{path.stem}.{getattr(top, 'name', '<module>')}"
+               for path in sorted((REPO / "src" / "kappacalc").glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8")).body if reads_argv(top)}
+    assert readers == {"cli._run"}
+
+
 def test_both_entries_start_at_the_process_entry():
     # python -m kappacalc and the kappacalc script both run kappacalc.cli._run
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
@@ -155,6 +170,27 @@ def test_plain_command_loads_no_argparse():
     proc = run(["--help"])
     assert (proc.returncode, proc.stdout.startswith("usage: kappacalc [-h]"), proc.stderr) == (
         0, True, "")
+
+
+def test_every_name_the_bench_imports_resolves():
+    # no tier-1 test runs the bench's --trace 1 limits probe, which imports
+    # make_node, so without this check such a name could go unseen
+    imported = []
+    for p in sorted((REPO / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kappacalc"):
+                imported += [(p.name, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(p.name, a.name, None) for a in node.names
+                             if a.name.startswith("kappacalc")]
+    assert ("run.py", "kappacalc", "make_node") in imported
+    missing = []
+    for file, module, name in imported:
+        owner = importlib.import_module(module)
+        if name is not None and not hasattr(owner, name) \
+                and importlib.util.find_spec(f"{module}.{name}") is None:
+            missing.append(f"{file}: from {module} import {name}")
+    assert missing == []
 
 
 def test_only_problemfile_spells_infinity():

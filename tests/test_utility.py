@@ -13,7 +13,6 @@ from kappacalc import (
     SimpleLottery,
     UtilityValue,
     evaluate,
-    make_node,
     scalar_utility,
     standard_equivalent,
 )
@@ -54,9 +53,9 @@ class TestMinPlusOps:
     def test_branch_degree_adds_to_child(self):
         # a branch degree is added to every prize of its child; INF saturates
         child = simple_node(O3, {"o1": 0, "o2": 2})
-        assert make_node([(0, Leaf("o3", O3)), (3, child)]).reduce().deltas == (3, 5, 0)
-        assert make_node([(0, Leaf("o3", O3)), (INF, child)]).reduce().deltas == (INF, INF, 0)
-        assert make_node([(0, child)]).reduce().deltas == (0, 2, INF)
+        assert Node([(0, Leaf("o3", O3)), (3, child)]).reduce().deltas == (3, 5, 0)
+        assert Node([(0, Leaf("o3", O3)), (INF, child)]).reduce().deltas == (INF, INF, 0)
+        assert Node([(0, child)]).reduce().deltas == (0, 2, INF)
 
     @given(
         st.sampled_from(["o1", "o2", "o3"]),
@@ -66,7 +65,7 @@ class TestMinPlusOps:
     def test_add_distributes_over_min(self, prize, c, rng):
         # the kernel's Node(p at 0, L at c) is min(Leaf(p).reduce(), c + L), per prize
         sub = random_lottery(rng, O3, depth=3, max_branch=4)
-        node = make_node([(0, Leaf(prize, O3)), (c, sub)])
+        node = Node([(0, Leaf(prize, O3)), (c, sub)])
         expected = tuple(
             min(a, c + b)
             for a, b in zip(Leaf(prize, O3).reduce().deltas, sub.reduce().deltas)
@@ -204,7 +203,7 @@ class TestEvaluate:
     def test_two_level_tree_with_assessed_middle_prize(self):
         inner1 = simple_node(O3, {"o1": 4, "o2": 0, "o3": 0})
         inner2 = simple_node(O3, {"o1": 0, "o3": 2})
-        tree = make_node([(0, inner1), (5, inner2)])
+        tree = Node([(0, inner1), (5, inner2)])
         assert evaluate(tree, A3) == UtilityValue(0, 0)
 
     def test_leaves_take_assessed_values(self):
@@ -316,7 +315,7 @@ class TestStandardEquivalent:
     def test_value_is_reinterpreted_as_deltas(self):
         inner1 = simple_node(O3, {"o1": 4, "o2": 0, "o3": 0})
         inner2 = simple_node(O3, {"o1": 0, "o3": 2})
-        tree = make_node([(0, inner1), (5, inner2)])
+        tree = Node([(0, inner1), (5, inner2)])
         assert standard_equivalent(tree, A3).deltas == (0, 0)
 
 
@@ -343,5 +342,5 @@ class TestCoarseness:
     def test_zero_gap_is_the_same_prize(self):
         # sigma = 0 would need two equally preferred prizes; the calculus
         # models that as two branches to one prize
-        tree = make_node([(0, Leaf("o2", O3)), (4, Leaf("o2", O3))])
+        tree = Node([(0, Leaf("o2", O3)), (4, Leaf("o2", O3))])
         assert evaluate(tree, A3) == A3.value_of("o2")
