@@ -14,6 +14,7 @@ process entry of `python -m kappacalc` and of the kappacalc script.
 from __future__ import annotations
 
 import gc
+import io
 import os
 import sys
 
@@ -146,10 +147,30 @@ def _parser():
     return parser
 
 
+def _write(text: str) -> int:
+    """Write `text` to stdout: 0, or 2 with the reason on stderr if stdout refuses it."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:  # a full disk, a closed pipe
+        print(f"error: cannot write output: {e.strerror or e}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv: list[str]) -> int:
     plain = _plain(argv)
     if plain is None:
-        args = _parser().parse_args(argv)
+        stdout, sys.stdout = sys.stdout, io.StringIO()  # argparse drops a failed write of --help
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit:
+            text, sys.stdout = sys.stdout.getvalue(), stdout
+            if text and _write(text):  # --help; a usage error went to stderr
+                return 2
+            raise
+        finally:
+            sys.stdout = stdout
         plain = args.command, args.file, args.json, getattr(args, "epsilon", None)
     command, file, json_mode, epsilon = plain
     # One command's objects hold no cycles and reference counting frees them,
@@ -158,24 +179,20 @@ def main(argv: list[str]) -> int:
     gc.disable()
     try:
         try:
-            with open(file, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(file, "rb") as handle:
+                text = handle.read().decode("utf-8")
         except OSError as e:
             raise ParseError(f"cannot read {file}: {e.strerror or e}") from None
         except UnicodeDecodeError as e:
             raise ParseError(f"cannot read {file}: not valid UTF-8 at byte {e.start}") from None
+        if "\r" in text:  # text mode's universal newlines, which JSON error lines count on
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if command == "validate":
             doc = pf.emit_diagnostics(pf.validate_problem(text))
         else:
             doc = _document(command, pf.parse_problem(text), epsilon)
         out = pf.dumps(doc) if json_mode else _text(command, doc)
-        try:
-            sys.stdout.write(out)
-            sys.stdout.flush()
-        except OSError as e:  # a full disk, a closed pipe
-            print(f"error: cannot write output: {e.strerror or e}", file=sys.stderr)
-            return 2
-        return 0 if doc.get("ok", True) else 1  # only validate's document has "ok"
+        return _write(out) or (0 if doc.get("ok", True) else 1)  # only validate's has "ok"
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

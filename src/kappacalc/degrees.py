@@ -98,7 +98,7 @@ def check_degree(value: object) -> Degree:
 def check_degrees(values: Iterable[object]) -> tuple[Degree, ...]:
     # Bridge-path tuples come from lists: tuple(generator) resizes a 10-slot
     # tuple, moving a fresh block onto the size-n freelist, which only a full gc empties.
-    return tuple([check_degree(v) for v in values])
+    return tuple([v if type(v) is int and v >= 0 else check_degree(v) for v in values])
 
 
 def normalize_degrees(values: Iterable[object]) -> tuple[Degree, ...]:

@@ -32,14 +32,17 @@ from .errors import (
 class PrizeSet(Frozen):
     """Distinct prize labels in strict preference order, best first."""
 
-    __slots__ = _fields = ("prizes",)
+    _fields = ("prizes",)
+    __slots__ = (*_fields, "_slots")  # each label's index
 
     def __init__(self, prizes: Iterable[str]):
         prizes = tuple(prizes)
         if len(prizes) < 2:
             raise LengthMismatch("a prize set needs at least two prizes")
-        if len(set(prizes)) != len(prizes):
+        slots = {p: i for i, p in enumerate(prizes)}
+        if len(slots) != len(prizes):
             raise DuplicateLabel(f"prize labels repeat: {show(prizes)}")
+        object.__setattr__(self, "_slots", slots)
         super().__init__(prizes)
 
     def __len__(self) -> int:
@@ -50,8 +53,8 @@ class PrizeSet(Frozen):
 
     def index(self, prize: str) -> int:
         try:
-            return self.prizes.index(prize)
-        except ValueError:
+            return self._slots[prize]
+        except (KeyError, TypeError):  # an unhashable label is no prize either
             raise UnknownPrize(f"prize {show(prize)} is not in the prize set") from None
 
     @property

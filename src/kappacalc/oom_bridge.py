@@ -19,7 +19,7 @@ import math
 import sys
 from collections.abc import Iterable
 
-from .degrees import Degree, Frozen, INF, normalize_degrees, show
+from .degrees import Degree, Frozen, INF, show
 from .errors import LengthMismatch, NotNormalized, OutOfRange
 from .lottery import PrizeSet, SimpleLottery
 
@@ -67,7 +67,7 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
     integer ratios; OutOfRange if K * n_e.bit_length() exceeds POWER_BITS.
     """
     e = _epsilon_value(eps)
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
+    if type(p) is not float and (isinstance(p, bool) or not isinstance(p, (int, float))):
         raise OutOfRange(f"probability must be a real number, got {show(p)}")
     if not 0 <= p <= 1:  # exact for ints; false for NaN
         raise OutOfRange(f"probability must lie in [0, 1], got {show(p)}")
@@ -78,7 +78,7 @@ def kappa_of(p: float, eps: Epsilon = 10.0) -> Degree:
 
     log_e = math.log(e)
     x = -math.log(p) / log_e
-    y = x + min(_LOG_SNAP / log_e, 1.0)
+    y = x + (_LOG_SNAP / log_e if _LOG_SNAP < log_e else 1.0)  # s, capped at 1
     k = math.floor(y)
     margin = y * _FLOAT_MARGIN
     if margin < y - k < 1 - margin:
@@ -115,21 +115,21 @@ class ProbLottery(Frozen):
     __slots__ = _fields = ("prizes", "probs", "utils")
 
     def __init__(self, prizes: PrizeSet, probs: Iterable[float], utils: Iterable[float]):
-        probs = tuple([_real(p, "probability") for p in probs])
-        utils = tuple([_real(u, "utility") for u in utils])
+        probs = tuple([p if type(p) is float else _real(p, "probability") for p in probs])
+        utils = tuple([u if type(u) is float else _real(u, "utility") for u in utils])
         r = len(prizes)
         if len(probs) != r:
             raise LengthMismatch(f"{len(probs)} probabilities for {r} prizes")
         if len(utils) != r:
             raise LengthMismatch(f"{len(utils)} utilities for {r} prizes")
         for p in probs:
-            if math.isnan(p) or p < 0 or p > 1:
+            if not 0 <= p <= 1:  # false for NaN
                 raise OutOfRange(f"probability out of [0, 1]: {p!r}")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
         for u in utils:
-            if math.isnan(u) or u < 0 or u > 1:
+            if not 0 <= u <= 1:
                 raise OutOfRange(f"utility out of [0, 1]: {u!r}")
         if utils[0] != 1.0:
             raise OutOfRange(f"best prize utility must be 1, got {utils[0]!r}")
@@ -174,7 +174,8 @@ def order_agreement(lottery: ProbLottery, eps: Epsilon = 10.0) -> OrderAgreement
     the (bounded) disagreement between what remains.
     """
     kappas = [kappa_of(p, eps) for p in lottery.probs]
-    spohnian = SimpleLottery(lottery.prizes, normalize_degrees(kappas))
+    low = min(kappas)  # finite, since the probabilities sum to 1
+    spohnian = SimpleLottery(lottery.prizes, [k if k == INF else k - low for k in kappas])
     eu = vnm_eu(lottery)
     kappa_eu = kappa_of(min(eu, 1.0), eps)  # the sum tolerance lets eu pass 1 by 1e-9
     terms = [k + kappa_of(u, eps) for k, u in zip(kappas, lottery.utils) if u > 0]

@@ -94,7 +94,9 @@ def degree_to_json(value: Degree) -> object:
     return int(value)
 
 
-def _real_list(value: object, where: str) -> list[float]:
+def _real_list(value: list, where: str) -> list[float]:
+    if {float}.issuperset(map(type, value)):
+        return value
     out = []
     try:
         for x in value:
@@ -184,8 +186,9 @@ def _parse_decision(section: object, assessment: PrizeAssessment | None) -> Deci
                  for v in _need(section, "belief", list, "decision")]
     acts = _string_list(_need(section, "acts", list, "decision"), "decision.acts")
     outcome = _need(section, "outcome", dict, "decision")
+    known = set(acts)
     for act in outcome:
-        if act not in acts:
+        if act not in known:
             raise ParseError(f"decision.outcome: unknown act {act!r}")
     # A missing or non-list row has no entries, so the build refuses it.  A
     # built problem has proved every label a prize; on a refusal the rows are
@@ -346,6 +349,6 @@ def _encode(value: object, indent: str) -> str:
         items = [f"{_quote(key)}: {_encode(item, inner)}" for key, item in sorted(value.items())]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
     if isinstance(value, list):
-        items = [_encode(item, inner) for item in value]
+        items = [_quote(item) if type(item) is str else _encode(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

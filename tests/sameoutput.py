@@ -6,14 +6,18 @@ Exports src/ of the git revision REV (a commit, tag or branch) into a
 temporary directory with `git archive`, then runs `python -m kappacalc` on
 each argv twice: with PYTHONPATH at that export and with PYTHONPATH at the
 working tree's src/, both from the repository root with COLUMNS=80.  The
-argvs are every golden argv of tests/test_cli_golden.py and a fixed list that
-argparse or the file reader answers.  The script prints each exit code,
+argvs are every golden argv of tests/test_cli_golden.py, a fixed list that
+argparse or the file reader answers, and every command in both modes on a few
+files written to the temporary directory for the file reader: CRLF and lone-CR
+line breaks (the latter with a syntax error), a byte order mark, a byte that
+is not UTF-8, and integer probabilities.  The script prints each exit code,
 stdout or stderr that differs in any byte, and exits 1 if one does, else 0.
 
 It needs git and tar, the standard library, and pytest, which the golden
 test module imports; pytest does not collect it.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +44,31 @@ FIXED = [  # argparse answers all but the last, a file that does not exist
 ]
 
 
+def read_path_argvs(tmp: Path) -> list[list[str]]:
+    """Every command, in text and --json, on files written into `tmp`."""
+    doc = {
+        **json.loads((ROOT / EARTHQUAKE).read_text(encoding="utf-8")),
+        "decision": json.loads((ROOT / "demos/problems/earthquake_decision.json")
+                               .read_text(encoding="utf-8"))["decision"],
+        "prob_lottery": {"probs": [0] * 11 + [1, 0], "utils": [1] + [0] * 12, "epsilon": 2},
+    }
+    text = json.dumps(doc, indent=2).encode()
+    files = {
+        "crlf.json": text.replace(b"\n", b"\r\n"),
+        "lone_cr_syntax.json": text.replace(b"\n", b"\r").replace(b'"epsilon"', b'"epsilon" 2,'),
+        "bom.json": b"\xef\xbb\xbf" + text,
+        "not_utf8.json": text.replace(b"\"notes\": [", b"\"notes\": [\"\xff\",", 1),
+        "int_probs.json": json.dumps({"prizes": ["o1", "o2", "o3"], "prob_lottery": {
+            "probs": [0, 1, 0], "utils": [1, 1, 0], "epsilon": 10}}).encode(),
+    }
+    argvs = []
+    for name, raw in files.items():
+        (tmp / name).write_bytes(raw)
+        for command in ("validate", "reduce", "utility", "rank", "bridge"):
+            argvs += [[command, str(tmp / name)], [command, str(tmp / name), "--json"]]
+    return argvs
+
+
 def outcome(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     proc = subprocess.run([sys.executable, "-m", "kappacalc", *argv],
@@ -51,9 +80,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.exit("usage: python tests/sameoutput.py REV")
     rev = argv[0]
-    argvs = sweep_args() + FIXED
     differences = 0
     with tempfile.TemporaryDirectory() as tmp:
+        argvs = sweep_args() + FIXED + read_path_argvs(Path(tmp))
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, stdout=subprocess.PIPE)
         if archive.returncode:
             return 2  # git has said why

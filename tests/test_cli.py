@@ -302,6 +302,19 @@ class TestExitCodes:
         for command in ("validate", "utility"):
             assert run(command, path("earthquake.json"), capsys=capsys)[::2] == (2, NO_SPACE)
 
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_unwritable_help_is_2(self, method, capsys, monkeypatch):
+        # argparse drops a failed write of its help; main writes it as any output
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "stdout", unwritable(method))
+        for argv in (["--help"], ["bridge", "--help"]):
+            assert run(*argv, capsys=capsys)[::2] == (2, NO_SPACE)
+        with pytest.raises(SystemExit) as usage:  # a usage error writes nothing to stdout
+            cli.main(["frobnicate", path("earthquake.json")])
+        err = capsys.readouterr().err
+        assert usage.value.code == 2 and "invalid choice: 'frobnicate'" in err
+        assert "cannot write" not in err
+
     def hostile(self, capsys, tmp_path, raw: bytes):
         f = tmp_path / "hostile.json"
         f.write_bytes(raw)
@@ -404,6 +417,64 @@ class TestExitCodes:
         f.write_text(json.dumps(summed))
         code, out, _ = run("validate", str(f), "--json", capsys=capsys)
         assert (code, json.loads(out)) == (1, {"ok": False, "diagnostics": [f"lottery: {error}"]})
+
+
+def text_mode(f) -> str | int:
+    """What text mode reads from a file: its text, or the offset of its first bad byte."""
+    try:
+        with open(f, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as e:
+        return e.start
+
+
+class TestFileRead:
+    """main reads a file as bytes and translates line breaks as text mode does."""
+
+    DOC = '{"prizes": ["o1", "o2"],\n "notes": "\u00e9 \U0001f600 \u2028"}\n'.encode()
+    PIECES = [b"\r", b"\n", b"\r\n", b"\n\r", b"\r\r", b"x", b"\xc3\xa9", b"\xf0\x9f\x98\x80",
+              b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\x80"]
+
+    @classmethod
+    def files(cls, rng: random.Random) -> list[bytes]:
+        doc, pad = cls.DOC, b"x\r\n" * 24000  # 72,000 bytes, past 64 KB
+        named = [
+            doc.replace(b"\n", b"\r\n"), doc.replace(b"\n", b"\r"), b"\r\r\n\n\r" + doc + b"\r",
+            b"\xef\xbb\xbf" + doc, b"\xef\xbb\xbf" + doc.replace(b"\n", b"\r\n"),
+            doc + b"\xe2\x82", doc + b"\xf0\x9f\x98", doc + b"\r\xc3",
+            doc + pad, pad.replace(b"\n", b"") + doc, pad + b"\xe2\x82",
+        ]
+        for offset in (0, 1, 37, 8191, 8192, 65535, 65536, 70000):
+            named.append(pad[:offset] + b"\xff" + pad[offset:])
+            named.append(pad[:offset] + b"\xed\xa0\x80" + pad[offset:])
+        drawn = [b"".join(rng.choices(cls.PIECES, k=rng.randint(0, 40))) for _ in range(300)]
+        return named + drawn
+
+    def test_text_or_bad_byte_as_text_mode_reads_them(self, rng, tmp_path, capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(problemfile, "validate_problem", lambda text: read.append(text) or [])
+        f = tmp_path / "read.json"
+        for raw in self.files(rng):
+            f.write_bytes(raw)
+            expected = text_mode(f)
+            read.clear()
+            code, out, err = run("validate", str(f), capsys=capsys)
+            if isinstance(expected, str):
+                assert (code, out, err, read) == (0, "ok\n", "", [expected]), raw
+            else:
+                assert (code, out, read) == (2, "", []), raw
+                assert err == f"parse error: cannot read {f}: not valid UTF-8 at byte {expected}\n"
+
+    def test_syntax_error_after_lone_carriage_returns_keeps_its_line(self, tmp_path, capsys):
+        f = tmp_path / "lone_cr.json"
+        f.write_bytes(b'{"prizes": ["o1", "o2"],\r "lottery": [\r  {"delta": 0 "child": "o1"}]}')
+        with pytest.raises(json.JSONDecodeError) as text_read:
+            json.loads(text_mode(f))
+        e = text_read.value
+        message = f"parse error: {e.msg} (line {e.lineno}, column {e.colno})\n"
+        assert message == "parse error: Expecting ',' delimiter (line 3, column 15)\n"
+        for command, *flags in (["validate"], ["validate", "--json"], ["reduce"], ["bridge"]):
+            assert run(command, str(f), *flags, capsys=capsys) == (2, "", message)
 
 
 class TestEpsilonFlag:
@@ -860,7 +931,8 @@ class TestEntryPoints:
             env["PYTHONUNBUFFERED"] = "1"
         for command in ([sys.executable, "-m", "kappacalc"], self.declared_script()):
             for argv in (["utility", path("earthquake.json")],
-                         ["rank", path("earthquake_decision.json"), "--json"]):
+                         ["rank", path("earthquake_decision.json"), "--json"],
+                         ["--help"], ["bridge", "--help"]):
                 with open("/dev/full", "w") as full:
                     proc = subprocess.run([*command, *argv], stdout=full, stderr=subprocess.PIPE,
                                           text=True, env=env)

@@ -20,7 +20,7 @@ from kappacalc import (
     kappa_of,
     normalize_degrees,
 )
-from kappacalc.degrees import check_degree, show
+from kappacalc.degrees import check_degree, check_degrees, show
 from kappacalc.errors import (
     AllInfinite,
     DuplicateLabel,
@@ -47,6 +47,26 @@ def test_is_degree_accepts_naturals_and_inf():
 def test_is_degree_rejects_everything_else(bad):
     with pytest.raises(TypeError, match="not a disbelief degree"):
         check_degree(bad)
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value, refused", [
+    (True, "True"), (False, "False"), (-1, "-1"), (0.5, "0.5"), (INF, None), (0, None),
+    (Count(3), None), (Count(-3), "-3"), (10**5000, None), (-(10**5000), "an int of 16610 bits"),
+], ids=["True", "False", "-1", "0.5", "INF", "0", "int-subclass", "negative-int-subclass",
+        "huge", "negative-huge"])
+def test_check_degrees_answers_as_check_degree(value, refused):
+    # the plain-int shortcut keeps check_degree's answer for every other value
+    if refused is None:
+        assert check_degrees([0, value])[1] is value
+        return
+    with pytest.raises(TypeError) as caught:
+        check_degrees([0, value])
+    assert str(caught.value) == (
+        f"not a disbelief degree: {refused} (need a non-negative int or INF)")
 
 
 def test_inf_saturates_under_plain_arithmetic():

@@ -37,6 +37,8 @@ class TestPrizeSet:
         assert len(O3) == 3
         with pytest.raises(UnknownPrize):
             O3.index("o9")
+        with pytest.raises(UnknownPrize, match=r"^prize \['o1'\] is not in the prize set$"):
+            O3.index(["o1"])  # unhashable
 
     def test_needs_two_distinct_prizes(self):
         with pytest.raises(LengthMismatch):

@@ -13,7 +13,9 @@ from kappacalc import (
     PrizeSet,
     ProbLottery,
     agreement_bound,
+    SimpleLottery,
     kappa_of,
+    normalize_degrees,
     order_agreement,
     vnm_eu,
 )
@@ -285,6 +287,49 @@ class TestProbLottery:
         ProbLottery(O3, (0.5, 1e-200, 0.5), (1, 1e-200, 0))
 
 
+class Real(float):
+    pass
+
+
+# a value and the refusal it gets, "{}" naming the field; an accepted value
+# goes in as the last probability of (0.5, 0.5 - v, v) or the middle utility
+# of (1, v, 0), a refused one as the last of (0.5, 0.3, v) or the same utility
+ODD_REALS = [
+    (0, None),
+    (True, "{} must be a real number, got True"),
+    ("0.5", "{} must be a real number, got '0.5'"),
+    (Real(0.25), None),
+    (math.nan, "{} out of [0, 1]: nan"),
+    (math.inf, "{} out of [0, 1]: inf"),
+    (-math.inf, "{} out of [0, 1]: -inf"),
+    (-0.0, None),
+    (10**400, "{} out of [0, 1]: an int past the float range"),
+]
+
+
+class TestOddReals:
+    """Values past the float shortcuts of ProbLottery keep their answers."""
+
+    @pytest.mark.parametrize("value, refused", ODD_REALS,
+                             ids=["int", "bool", "str", "float-subclass", "nan", "inf", "-inf",
+                                  "-0.0", "huge-int"])
+    def test_refusal_or_float_values(self, value, refused):
+        if refused is not None:
+            for field, probs, utils in (("probability", (0.5, 0.3, value), (1, 0.5, 0)),
+                                        ("utility", (0.5, 0.3, 0.2), (1, value, 0))):
+                with pytest.raises(OutOfRange) as caught:
+                    ProbLottery(O3, probs, utils)
+                assert str(caught.value) == refused.format(field)
+            return
+        for probs, utils in (((0.5, 0.5 - value, value), (1, 0.5, 0)),
+                             ((0.5, 0.3, 0.2), (1, value, 0))):
+            lot = ProbLottery(O3, probs, utils)
+            assert {type(x) for x in lot.probs + lot.utils} == {float}
+            assert (lot.probs, lot.utils) == (probs, utils)
+            assert order_agreement(lot).spohnian.deltas == tuple(
+                INF if p == 0 else 0 for p in probs)
+
+
 class TestConversion:
     def test_leading_zeros_example(self):
         lot = ProbLottery(O3, (0.9, 0.09, 0.01), (1, 0.5, 0))
@@ -381,6 +426,18 @@ class TestAgreement:
             assert report.gap == 0
         else:
             assert type(report.gap) is int
+
+    @given(st.data(), st.integers(2, 6), st.sampled_from([10, 2, 1.5, 1.0095]))
+    @settings(max_examples=300)
+    def test_converted_lottery_is_the_normalized_kappas(self, data, r, eps):
+        # order_agreement shifts the kappas itself; normalize_degrees is the reference
+        small = st.one_of(TestAgreement.tiny, st.floats(0.0, 1.0 / r))
+        probs = data.draw(st.lists(small, min_size=r - 1, max_size=r - 1))
+        probs.insert(data.draw(st.integers(0, r - 1)), 1.0 - math.fsum(probs))
+        prizes = PrizeSet(tuple(f"p{i}" for i in range(r)))
+        lot = ProbLottery(prizes, probs, (1.0,) * (r - 1) + (0.0,))  # eu cannot underflow
+        expected = SimpleLottery(prizes, normalize_degrees([kappa_of(p, eps) for p in probs]))
+        assert order_agreement(lot, eps).spohnian == expected
 
     def test_agreement_bound_values(self):
         with pytest.raises(OutOfRange, match="^a lottery has at least 2 prizes, got 1$"):

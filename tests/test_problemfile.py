@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -142,6 +143,8 @@ class TestParsing:
             ('{"lottery": "o1"}', "document: missing required key 'prizes'"),
             ('{"prizes": ["o1", "o2"], "prob_lottery": {"probs": [0.5, "0.5"], "utils": [1, 0]}}',
              "prob_lottery.probs: expected a number, got '0.5'"),
+            ('{"prizes": ["o1", "o2"], "prob_lottery": {"probs": [0.5, 0.5], "utils": [true, 0]}}',
+             "prob_lottery.utils: expected a number, got True"),
         ]:
             with pytest.raises(ParseError) as refused:
                 parse_problem(text)
@@ -479,6 +482,38 @@ class TestParserBuildsWhatNodeBuilds:
             built_bottom_up(lottery, O3)
         expected = f"lottery: {type(caught.value).__name__}: {caught.value}"
         assert validate_problem(TestNestedErrorMessages.lottery_doc(lottery)) == [expected]
+
+
+class TestManyLabels:
+    """Acts and prizes are looked up by hash, so 20,000 of them parse within a second."""
+
+    N = 20_000
+
+    @staticmethod
+    def timed_parse(doc: dict):
+        text = json.dumps(doc)
+        start = time.perf_counter()
+        problem = parse_problem(text)
+        return problem, time.perf_counter() - start
+
+    def test_decision_with_many_acts(self):
+        acts = [f"a{i}" for i in range(self.N)]
+        problem, seconds = self.timed_parse({
+            "prizes": ["o1", "o2"], "assessment": {"o1": [0, "inf"], "o2": ["inf", 0]},
+            "decision": {"states": ["s", "t"], "belief": [0, 1], "acts": acts,
+                         "outcome": {a: ["o1", "o2"] for a in acts}}})
+        assert len(problem.decision.acts) == self.N
+        assert seconds < 1, f"{self.N} acts took {seconds:.2f} s"
+
+    def test_lottery_and_assessment_with_many_prizes(self):
+        n, prizes = self.N, [f"p{i}" for i in range(self.N)]
+        scalars = [[0, "inf"], *[[0, n - i] for i in range(1, n - 1)], ["inf", 0]]
+        problem, seconds = self.timed_parse({
+            "prizes": prizes, "assessment": dict(zip(prizes, scalars)),
+            "lottery": [{"delta": 0, "child": prizes[-1]}, {"delta": 2, "child": prizes[0]}]})
+        assert problem.lottery.deltas[0] == 2 and problem.lottery.deltas[-1] == 0
+        assert problem.assessment.value_of(prizes[-2]) == UtilityValue(0, 2)
+        assert seconds < 1, f"{n} prizes took {seconds:.2f} s"
 
 
 class TestValidateCollection:
