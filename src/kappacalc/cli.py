@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import gc
 import io
-import os
 import sys
 
 from . import problemfile as pf
@@ -79,10 +78,7 @@ def _text(command: str, doc: dict) -> str:
             f"qualitative = {doc['qualitative_eu']}",
             f"gap = {doc['gap']}",
         ]
-    # a character stdout cannot encode is written as its escape, such as \xe9 or \ud800
-    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"  # io.StringIO has None
-    text = "".join(f"{line}\n" for line in lines)
-    return text.encode(encoding, "backslashreplace").decode(encoding)
+    return "".join(f"{line}\n" for line in lines)
 
 
 _COMMANDS = {  # name: help; only bridge takes --epsilon
@@ -147,13 +143,30 @@ def _parser():
     return parser
 
 
+def _warn(message: str) -> None:  # the CLI's own messages
+    if sys.stderr is not None:  # Python starts with none when descriptor 2 is closed
+        print(message, file=sys.stderr)  # file=None would print to stdout
+
+
 def _write(text: str) -> int:
     """Write `text` to stdout: 0, or 2 with the reason on stderr if stdout refuses it."""
+    out = sys.stdout
+    encoding = getattr(out, "encoding", None) or "utf-8"  # io.StringIO has None
+    data = memoryview(text.encode(encoding, "backslashreplace"))  # such as \xe9 or \ud800
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if out is None:  # as for stderr, when descriptor 1 is closed
+            raise OSError("Bad file descriptor")
+        if not hasattr(out, "buffer"):  # io.StringIO takes the escaped text
+            out.write(str(data, encoding))
+            data = data[:0]
+        out.flush()  # what the text layer holds goes first
+        while data:  # so no byte waits in a buffer for the flush at exit to fail on
+            taken = getattr(out.buffer, "raw", out.buffer).write(data)  # -u: buffer is raw
+            if not taken:  # None: a non-blocking stream would block
+                raise BlockingIOError("write could not complete without blocking")
+            data = data[taken:]
     except OSError as e:  # a full disk, a closed pipe
-        print(f"error: cannot write output: {e.strerror or e}", file=sys.stderr)
+        _warn(f"error: cannot write output: {e.strerror or e}")
         return 2
     return 0
 
@@ -164,9 +177,9 @@ def main(argv: list[str]) -> int:
         stdout, sys.stdout = sys.stdout, io.StringIO()  # argparse drops a failed write of --help
         try:
             args = _parser().parse_args(argv)
-        except SystemExit:
+        except SystemExit as done:
             text, sys.stdout = sys.stdout.getvalue(), stdout
-            if text and _write(text):  # --help; a usage error went to stderr
+            if not done.code and _write(text):  # --help; a usage error is for stderr only
                 return 2
             raise
         finally:
@@ -194,13 +207,13 @@ def main(argv: list[str]) -> int:
         out = pf.dumps(doc) if json_mode else _text(command, doc)
         return _write(out) or (0 if doc.get("ok", True) else 1)  # only validate's has "ok"
     except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
+        _warn(f"parse error: {e}")
         return 2
     except KappaCalcError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        _warn(f"error: {type(e).__name__}: {e}")
         return 1
     except Exception as e:  # reaching this is a bug
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        _warn(f"internal error: {type(e).__name__}: {e}")
         return 3
     finally:
         if collecting:
@@ -210,11 +223,6 @@ def main(argv: list[str]) -> int:
 def _run() -> None:
     """The process entry: exit with main's code for sys.argv, skipping the shutdown collections."""
     try:
-        code = main(sys.argv[1:])
-        try:
-            sys.stdout.flush()
-        except OSError:  # main reported it; the flush at exit must not fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(code)
+        sys.exit(main(sys.argv[1:]))
     finally:  # frozen objects are left to the OS, which frees them with the process
         gc.freeze()

@@ -189,4 +189,5 @@ def agreement_bound(num_prizes: int, eps: Epsilon = 10.0) -> int:
     e = _epsilon_value(eps)
     if num_prizes < 2:
         raise OutOfRange(f"a lottery has at least 2 prizes, got {num_prizes}")
-    return math.ceil(math.log(num_prizes) / math.log(e)) + 1
+    m = math.ceil(math.log(num_prizes) / math.log(e))  # 3.0000000000000004 for 125 at 5
+    return m if e ** (m - 1) >= num_prizes else m + 1

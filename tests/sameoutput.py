@@ -4,14 +4,17 @@
 
 Exports src/ of the git revision REV (a commit, tag or branch) into a
 temporary directory with `git archive`, then runs `python -m kappacalc` on
-each argv twice: with PYTHONPATH at that export and with PYTHONPATH at the
-working tree's src/, both from the repository root with COLUMNS=80.  The
-argvs are every golden argv of tests/test_cli_golden.py, a fixed list that
-argparse or the file reader answers, and every command in both modes on a few
-files written to the temporary directory for the file reader: CRLF and lone-CR
-line breaks (the latter with a syntax error), a byte order mark, a byte that
-is not UTF-8, and integer probabilities.  The script prints each exit code,
-stdout or stderr that differs in any byte, and exits 1 if one does, else 0.
+each argv with PYTHONPATH at that export and with PYTHONPATH at the working
+tree's src/, both from the repository root with COLUMNS=80.  Each pair runs
+in both of stdout's buffering modes: once with PYTHONUNBUFFERED removed from
+the environment and once with it set to 1.  The argvs are every golden argv
+of tests/test_cli_golden.py, a fixed list that argparse or the file reader
+answers, and every command in both modes on a few files written to the
+temporary directory for the file reader: CRLF and lone-CR line breaks (the
+latter with a syntax error), a byte order mark, a byte that is not UTF-8, and
+integer probabilities.  The script prints each exit code,
+stdout or stderr that differs in any byte, with the buffering mode it differs
+in, and exits 1 if one does, else 0.
 
 It needs git and tar, the standard library, and pytest, which the golden
 test module imports; pytest does not collect it.
@@ -69,8 +72,12 @@ def read_path_argvs(tmp: Path) -> list[list[str]]:
     return argvs
 
 
-def outcome(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
-    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+MODES = {"buffered": {}, "unbuffered": {"PYTHONUNBUFFERED": "1"}}
+
+
+def outcome(src: Path, argv: list[str], mode: str) -> tuple[int, bytes, bytes]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), COLUMNS="80", **MODES[mode])
     proc = subprocess.run([sys.executable, "-m", "kappacalc", *argv],
                           cwd=ROOT, env=env, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
@@ -80,22 +87,24 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.exit("usage: python tests/sameoutput.py REV")
     rev = argv[0]
-    differences = 0
+    differences = dict.fromkeys(MODES, 0)
     with tempfile.TemporaryDirectory() as tmp:
         argvs = sweep_args() + FIXED + read_path_argvs(Path(tmp))
         archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, stdout=subprocess.PIPE)
         if archive.returncode:
             return 2  # git has said why
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        for args in argvs:
-            old, new = outcome(Path(tmp) / "src", args), outcome(ROOT / "src", args)
-            for what, before, after in zip(("exit code", "stdout", "stderr"), old, new):
-                if before != after:
-                    differences += 1
-                    print(f"kappacalc {' '.join(args)}: {what}\n  {rev}: {before!r}\n"
-                          f"  working tree: {after!r}")
-    print(f"{len(argvs)} argvs, {differences} differences")
-    return 1 if differences else 0
+        for mode in MODES:
+            for args in argvs:
+                old, new = outcome(Path(tmp) / "src", args, mode), outcome(ROOT / "src", args, mode)
+                for what, before, after in zip(("exit code", "stdout", "stderr"), old, new):
+                    if before != after:
+                        differences[mode] += 1
+                        print(f"kappacalc {' '.join(args)} ({mode}): {what}\n"
+                              f"  {rev}: {before!r}\n  working tree: {after!r}")
+    print(f"{len(argvs)} argvs, " + ", ".join(
+        f"{count} differences {mode}" for mode, count in differences.items()))
+    return 1 if any(differences.values()) else 0
 
 
 if __name__ == "__main__":

@@ -57,6 +57,22 @@ def unwritable(method: str) -> io.StringIO:
     return out
 
 
+class Raw(io.RawIOBase):
+    """A raw stream that takes at most `most` bytes a call (0: it would block), or fails."""
+
+    def __init__(self, most: int = 1 << 30, fail: bool = False):
+        self.most, self.fail, self.taken = most, fail, bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int | None:
+        if self.fail:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.taken += bytes(b[:self.most])
+        return min(len(b), self.most) or None
+
+
 class TestHumanOutput:
     def test_utility_earthquake(self, capsys):
         code, out, err = run("utility", path("earthquake.json"), capsys=capsys)
@@ -301,6 +317,17 @@ class TestExitCodes:
         monkeypatch.setattr(sys, "stdout", unwritable(method))
         for command in ("validate", "utility"):
             assert run(command, path("earthquake.json"), capsys=capsys)[::2] == (2, NO_SPACE)
+
+    def test_no_stdout_is_2_and_no_stderr_drops_the_messages(self, capsys, monkeypatch):
+        # Python starts with sys.stdout or sys.stderr None when its descriptor is closed
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run("utility", path("earthquake.json"), capsys=capsys) == (
+            2, "", "error: cannot write output: Bad file descriptor\n")
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run("utility", path("earthquake.json"), capsys=capsys) == (2, "", "")
+        monkeypatch.undo()
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run("reduce", data("bad_unnormalized.json"), capsys=capsys) == (1, "", "")
 
     @pytest.mark.parametrize("method", ["write", "flush"])
     def test_unwritable_help_is_2(self, method, capsys, monkeypatch):
@@ -922,9 +949,8 @@ class TestEntryPoints:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_each_entry_exits_2_on_a_full_disk(self, unbuffered):
-        # buffered, the write fails at the flush in main, and once more at the
-        # flush in _run, which then points stdout at the null device so that
-        # the flush at exit cannot fail a third time
+        # buffered or not, main writes the bytes to the raw stream, so after
+        # the failed write no byte waits for the flush at exit to fail again
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(REPO / "src")
         if unbuffered:
@@ -938,22 +964,76 @@ class TestEntryPoints:
                                           text=True, env=env)
                 assert (proc.returncode, proc.stderr) == (2, NO_SPACE), (command, argv)
 
-    def test_entry_points_an_unwritable_stdout_at_the_null_device(self, capsys, monkeypatch,
-                                                                  tmp_path):
-        # in process: the entry's own flush fails as main's did, and the
-        # descriptor under stdout then refers to the null device
-        with open(tmp_path / "out", "w") as target:
-            out = unwritable("flush")
-            out.fileno = target.fileno
-            monkeypatch.setattr(sys, "stdout", out)
-            monkeypatch.setattr(sys, "argv", ["kappacalc", "utility", path("earthquake.json")])
-            try:
-                with pytest.raises(SystemExit) as done:
-                    cli._run()
-            finally:
-                gc.unfreeze()
-            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
-        assert (done.value.code, capsys.readouterr().err) == (2, NO_SPACE)
+    @pytest.mark.skipif(not shutil.which("sh"), reason="needs a POSIX shell")
+    def test_each_entry_exits_2_with_stdout_closed_and_is_silent_with_stderr_closed(
+            self, capsys, monkeypatch):
+        # with a descriptor closed Python starts with sys.stdout or sys.stderr None
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        closed_out = [["validate", path("earthquake.json")], ["--help"]]
+        closed_err = [["utility", path("earthquake.json")],
+                      ["reduce", data("bad_unnormalized.json"), "--json"],  # exit 1
+                      ["validate", data("bad_syntax.json")],  # a parse error, exit 2
+                      ["frobnicate", path("earthquake.json")]]  # a usage error, exit 2
+        for command in ([sys.executable, "-m", "kappacalc"], self.declared_script()):
+            for argv in closed_out:
+                proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command, *argv],
+                                      stderr=subprocess.PIPE, text=True, env=env)
+                assert (proc.returncode, proc.stderr) == (
+                    2, "error: cannot write output: Bad file descriptor\n"), (command, argv)
+            for argv in closed_err:
+                code, out, _ = outcome(argv, capsys)
+                proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *command, *argv],
+                                      stdout=subprocess.PIPE, text=True, env=env)
+                assert (proc.returncode, proc.stdout) == (
+                    code[1] if isinstance(code, tuple) else code, out), (command, argv)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_each_entry_exits_2_when_the_reader_goes_away(self, unbuffered, tmp_path):
+        # a reader that closes the pipe after one byte of a 550 KB answer
+        acts = [f"a{i}" for i in range(3000)]
+        f = tmp_path / "acts.json"
+        f.write_text(json.dumps({
+            "prizes": ["o1", "o2"], "assessment": ENDS,
+            "decision": {"states": ["s", "t"], "belief": [0, 1], "acts": acts,
+                         "outcome": {a: ["o1", "o2"] for a in acts}}}))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(REPO / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        for command in ([sys.executable, "-m", "kappacalc"], self.declared_script()):
+            proc = subprocess.Popen([*command, "rank", str(f), "--json"], bufsize=0, env=env,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.communicate(timeout=60)[1]
+            assert (proc.returncode, err) == (
+                2, b"error: cannot write output: Broken pipe\n"), command
+
+    def test_a_failed_write_leaves_nothing_to_flush(self, capsys, monkeypatch):
+        # were the bytes left in the buffer, the flush at exit would fail again
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(Raw(fail=True))))
+        assert run("utility", path("earthquake.json"), capsys=capsys)[::2] == (2, NO_SPACE)
+        sys.stdout.flush()
+
+    @pytest.mark.parametrize("layers", [io.BufferedWriter, lambda raw: raw],
+                             ids=["buffered", "unbuffered"])  # python -u: no BufferedWriter
+    def test_every_byte_reaches_a_raw_stream_that_takes_a_few_at_a_time(self, layers, capsys,
+                                                                         monkeypatch):
+        raw = Raw(most=3)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(layers(raw), write_through=True))
+        argv = ["rank", path("earthquake_decision.json"), "--json"]
+        code, _, err = run(*argv, capsys=capsys)
+        monkeypatch.undo()
+        assert (code, raw.taken.decode(), err) == outcome(argv, capsys)
+
+    @pytest.mark.parametrize("layers", [io.BufferedWriter, lambda raw: raw],
+                             ids=["buffered", "unbuffered"])
+    def test_a_raw_stream_that_would_block_is_a_failed_write(self, layers, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(layers(Raw(most=0)),
+                                                            write_through=True))
+        assert run("utility", path("earthquake.json"), capsys=capsys)[::2] == (
+            2, "error: cannot write output: write could not complete without blocking\n")
 
     def test_module_entry_runs_in_process(self, capsys, monkeypatch):
         # __main__.py and _run's reading of sys.argv, under the tests

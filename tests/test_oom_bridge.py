@@ -446,3 +446,6 @@ class TestAgreement:
         assert agreement_bound(6) == 2
         assert agreement_bound(11) == 3
         assert agreement_bound(4, 2) == 3
+        # exact powers, where log(125) / log(5) is 3.0000000000000004
+        assert agreement_bound(125, 5) == 4
+        assert agreement_bound(216, 6) == 4

@@ -138,6 +138,21 @@ def test_only_the_process_entry_reads_sys_argv():
     assert readers == {"cli._run"}
 
 
+def test_only_write_writes_stdout():
+    # cli._write hands stdout every byte of the output; main only swaps stdout
+    # for a string buffer while argparse writes --help, and cli._warn, the one
+    # print, writes the CLI's messages to stderr
+    def holders(test) -> set[str]:
+        return {f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for path in sorted((REPO / "src" / "kappacalc").glob("*.py"))
+                for top in ast.parse(path.read_text(encoding="utf-8")).body
+                if any(test(n) for n in ast.walk(top))}
+
+    assert holders(lambda n: isinstance(n, ast.Attribute) and n.attr in (
+        "stdout", "__stdout__")) == {"cli._write", "cli.main"}
+    assert holders(lambda n: isinstance(n, ast.Name) and n.id == "print") == {"cli._warn"}
+
+
 def test_both_entries_start_at_the_process_entry():
     # python -m kappacalc and the kappacalc script both run kappacalc.cli._run
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
