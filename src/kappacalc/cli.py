@@ -32,8 +32,11 @@ def _value(doc: dict) -> str:  # a utility document, e.g. "(0, inf)  u = +inf"
     return "({}, {})  u = {}".format(*doc["value"], doc["scalar"])
 
 
-def _document(command: str, problem: pf.ProblemFile, epsilon: float | None) -> dict:
-    """The result document of reduce, utility, rank or bridge."""
+def _document(command: str, text: str, epsilon: float | None) -> dict:
+    """The result document of a command on a problem file's text."""
+    if command == "validate":
+        return pf.emit_diagnostics(pf.validate_problem(text))
+    problem = pf.parse_problem(text)
 
     def section(name: str):
         value = getattr(problem, name)
@@ -49,9 +52,8 @@ def _document(command: str, problem: pf.ProblemFile, epsilon: float | None) -> d
         decision = section("decision")
         return pf.emit_ranking(rank_acts(decision), maximin_rank(decision), decision.prizes)
     prob = section("prob_lottery")
-    if epsilon is None:
-        epsilon = problem.epsilon if problem.epsilon is not None else 10.0
-    return pf.emit_bridge(order_agreement(prob, EpsilonBase(epsilon)))
+    base = (problem.epsilon or EpsilonBase()) if epsilon is None else EpsilonBase(epsilon)
+    return pf.emit_bridge(order_agreement(prob, base))
 
 
 def _text(command: str, doc: dict) -> str:
@@ -137,7 +139,6 @@ def _parser():
             p.add_argument(
                 "--epsilon",
                 type=float,
-                default=None,
                 help="order-of-magnitude base (overrides the file; default 10)",
             )
     return parser
@@ -200,10 +201,7 @@ def main(argv: list[str]) -> int:
             raise ParseError(f"cannot read {file}: not valid UTF-8 at byte {e.start}") from None
         if "\r" in text:  # text mode's universal newlines, which JSON error lines count on
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        if command == "validate":
-            doc = pf.emit_diagnostics(pf.validate_problem(text))
-        else:
-            doc = _document(command, pf.parse_problem(text), epsilon)
+        doc = _document(command, text, epsilon)
         out = pf.dumps(doc) if json_mode else _text(command, doc)
         return _write(out) or (0 if doc.get("ok", True) else 1)  # only validate's has "ok"
     except ParseError as e:

@@ -10,8 +10,8 @@ Reduction collapses a tree to a simple lottery by min-plus composition: a
 prize's degree is the minimum over branches of branch degree plus the
 child's collapsed degree for that prize.  Each node composes its branches
 when it is built, from children already composed, so reduce reads the root.
-`_compose` is the one fold, called by `Node(...)` after its checks and by
-`Node._from_checked` for the parser, which proved the branches as it read them.
+`_compose` is the one fold, called only by `Node._from_checked`, the one store:
+`Node(...)` stores there after its checks, the parser with branches it proved.
 """
 
 from __future__ import annotations
@@ -111,14 +111,15 @@ class Node(Frozen):
     Branches with INF degree are allowed (they are absorbed by the min),
     children may have unequal depths, and a child need not mention every
     prize; all children must draw from the same prize set, stored once.
-    `Node(...)` checks each branch once and folds it with `_compose` into
-    `deltas`, the collapsed degree per prize, as the module docstring describes.
+    `Node(...)` checks each branch once in `__new__`; `_from_checked` folds them
+    with `_compose` into `deltas`, the collapsed degree per prize, and stores all.
     """
 
     _fields = ("branches",)
     __slots__ = (*_fields, "prizes", "deltas")
+    __init__ = object.__init__  # __new__ stores every slot; Frozen.__init__ would reset branches
 
-    def __init__(self, branches: Iterable[tuple[Degree, "Lottery"]]):
+    def __new__(cls, branches: Iterable[tuple[Degree, "Lottery"]]):
         pairs, prizes = [], None
         for d, child in branches:
             check_degree(d)
@@ -129,21 +130,18 @@ class Node(Frozen):
             pairs.append((d, child))
         if any(c.prizes is not prizes and c.prizes != prizes for _, c in pairs):
             raise PrizeSetMismatch("branches draw prizes from different prize sets")
-        self._store(tuple(pairs), prizes)
+        return cls._from_checked(pairs, prizes)
 
     @classmethod
     def _from_checked(cls, branches: list, prizes: PrizeSet) -> "Node":
-        """`Node(branches)` for tuple pairs of proved degrees and children on `prizes` itself."""
-        node = object.__new__(cls)
-        node._store(tuple(branches), prizes)
-        return node
-
-    def _store(self, branches: tuple, prizes: PrizeSet) -> None:
+        """The one store: a node of tuple pairs of proved degrees and children on `prizes`."""
         if not branches:
             raise EmptyBranches("a lottery node needs at least one branch")
-        _set_deltas(self, _compose(branches, len(prizes.prizes)))
-        _set_branches(self, branches)
-        _set_prizes(self, prizes)
+        node = object.__new__(cls)
+        _set_deltas(node, _compose(branches, len(prizes.prizes)))
+        _set_branches(node, tuple(branches))
+        _set_prizes(node, prizes)
+        return node
 
     def __eq__(self, other):
         """As the nested branch tuples compare, without recursion or a pair walked twice."""

@@ -208,7 +208,7 @@ def _parse_decision(section: object, assessment: PrizeAssessment | None) -> Deci
         raise
 
 
-def _parse_prob_lottery(section: object, prizes: PrizeSet) -> tuple[ProbLottery, float | None]:
+def _parse_prob_lottery(section: object, prizes: PrizeSet) -> tuple[ProbLottery, EpsilonBase | None]:
     if not isinstance(section, dict):
         raise ParseError("prob_lottery: expected an object")
     probs = _real_list(_need(section, "probs", list, "prob_lottery"), "prob_lottery.probs")
@@ -219,7 +219,7 @@ def _parse_prob_lottery(section: object, prizes: PrizeSet) -> tuple[ProbLottery,
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ParseError("prob_lottery.epsilon: expected a number")
         try:
-            epsilon = EpsilonBase(float(raw)).epsilon
+            epsilon = EpsilonBase(float(raw))
         except OverflowError:
             raise ParseError("prob_lottery.epsilon: integer too large for a float") from None
     return ProbLottery(prizes, probs, utils), epsilon

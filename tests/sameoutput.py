@@ -8,13 +8,13 @@ each argv with PYTHONPATH at that export and with PYTHONPATH at the working
 tree's src/, both from the repository root with COLUMNS=80.  Each pair runs
 in both of stdout's buffering modes: once with PYTHONUNBUFFERED removed from
 the environment and once with it set to 1.  The argvs are every golden argv
-of tests/test_cli_golden.py, a fixed list that argparse or the file reader
-answers, and every command in both modes on a few files written to the
-temporary directory for the file reader: CRLF and lone-CR line breaks (the
-latter with a syntax error), a byte order mark, a byte that is not UTF-8, and
-integer probabilities.  The script prints each exit code,
-stdout or stderr that differs in any byte, with the buffering mode it differs
-in, and exits 1 if one does, else 0.
+of tests/test_cli_golden.py, a fixed list for argparse, the file reader and
+the plain --epsilon flag, and every command in both modes on a few files
+written to the temporary directory for the file reader: CRLF and lone-CR line
+breaks (the latter with a syntax error), a byte order mark, a byte that is not
+UTF-8, and integer probabilities.  The script prints each exit code, stdout or
+stderr that differs in any byte, with the buffering mode it differs in, and
+exits 1 if one does, else 0.
 
 It needs git and tar, the standard library, and pytest, which the golden
 test module imports; pytest does not collect it.
@@ -34,7 +34,7 @@ from test_cli_golden import sweep_args  # noqa: E402
 
 EARTHQUAKE = "demos/problems/earthquake.json"
 POWERS = "demos/problems/bridge_powers.json"
-FIXED = [  # argparse answers all but the last, a file that does not exist
+FIXED = [  # argparse answers the first eight, and cli.main's plain reader the rest
     [],
     ["--help"],
     ["bridge", "--help"],
@@ -44,6 +44,8 @@ FIXED = [  # argparse answers all but the last, a file that does not exist
     ["utility", EARTHQUAKE, "--js"],
     ["reduce"],
     ["reduce", "does_not_exist.json"],
+    ["bridge", POWERS, "--epsilon", "3"],  # the flag overrides the file's base
+    ["bridge", POWERS, "--epsilon", "0.5"],  # a base refused with exit 1
 ]
 
 

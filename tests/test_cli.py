@@ -554,6 +554,24 @@ class TestEpsilonFlag:
             code, _, err = run(command, str(f), capsys=capsys)
             assert (code, err) == (2, "parse error: prob_lottery.epsilon: expected a number\n")
 
+    def test_each_base_is_proved_once(self, capsys, monkeypatch):
+        # the parser proves the file's base and bridge uses it as it is; only
+        # --epsilon's base, or the default when the file has none, is built anew
+        calls = []
+        init = oom_bridge.EpsilonBase.__init__
+
+        def counting_init(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(oom_bridge.EpsilonBase, "__init__", counting_init)
+        for name, flags, proved in (("bridge_powers.json", [], [(2.0,)]),
+                                    ("bridge_powers.json", ["--epsilon", "3"], [(2.0,), (3.0,)]),
+                                    ("bridge_certainty.json", [], [()])):
+            calls.clear()
+            assert run("bridge", path(name), *flags, capsys=capsys)[0] == 0
+            assert calls == proved
+
     def test_deep_class_at_small_base_is_fast(self, capsys, tmp_path):
         # kappa(1e-30) at eps 1.0001 is 690810, far too deep to reach by
         # raising eps to that power

@@ -64,7 +64,7 @@ class TestConstruction:
             DisbeliefFunction(W3, (1, 2, 3))
 
     def test_all_infinite_rejected(self):
-        with pytest.raises(AllInfinite):
+        with pytest.raises(AllInfinite, match=r"^potential is infinite everywhere$"):
             DisbeliefFunction(W3, (INF, INF, INF))
 
     def test_length_checked(self):

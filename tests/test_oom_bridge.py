@@ -271,7 +271,8 @@ class TestProbLottery:
             ProbLottery(O2, (0.5, 0.5), (0.9, 0))
         with pytest.raises(OutOfRange, match="worst"):
             ProbLottery(O2, (0.5, 0.5), (1, 0.1))
-        with pytest.raises(OutOfRange, match="decrease"):
+        with pytest.raises(OutOfRange, match=r"^utilities must weakly decrease along the prize "
+                                             r"order: 0\.2 before 0\.5$"):
             O4 = PrizeSet(("o1", "o2", "o3", "o4"))
             ProbLottery(O4, (0.4, 0.3, 0.2, 0.1), (1, 0.2, 0.5, 0))
         # weakly decreasing means ties are fine

@@ -67,7 +67,7 @@ class TestParsing:
     def test_prob_fixture_with_epsilon(self):
         pf = parse_problem(problem_text("bridge_powers.json"))
         assert pf.prob_lottery.probs == (0.5, 0.5)
-        assert pf.epsilon == 2.0
+        assert pf.epsilon == EpsilonBase(2.0)
 
     def test_prob_lottery_epsilon_is_checked(self):
         doc = ('{"prizes": ["a", "b"], "prob_lottery":'
@@ -255,6 +255,7 @@ class TestNestedErrorMessages:
                  {"delta": "x", "child": "o2"}],
                 "lottery[1].delta: expected a non-negative integer or \"inf\", got 'x'",
             ),
+            (5, "lottery: expected a prize name or a list of branches"),
         ],
     )
     def test_shape_defects(self, lottery, message):

@@ -61,7 +61,8 @@ def test_only_problemfile_dumps_writes_json():
 
 def test_one_min_plus_fold():
     # lottery._compose is the one for loop over enumerate(<node>.deltas), and
-    # the parser hands its proved branches to it rather than reading leaf slots
+    # the parser hands its proved branches to it rather than reading leaf slots;
+    # Node._from_checked is the one store, so only it calls the slot setters
     def folds(func):
         return any(isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
                    and isinstance(loop.iter.func, ast.Name) and loop.iter.func.id == "enumerate"
@@ -69,15 +70,29 @@ def test_one_min_plus_fold():
                            for a in loop.iter.args)
                    for loop in ast.walk(func))
 
-    folders, slot_readers = set(), set()
+    def stores(func):
+        return any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id in ("_set_deltas", "_set_branches", "_set_prizes")
+                   for call in ast.walk(func))
+
+    folders, slot_readers, storers, defined = set(), set(), set(), set()
     for path in sorted((REPO / "src" / "kappacalc").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         folders |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
                     if isinstance(node, ast.FunctionDef) and folds(node)}
         if any(isinstance(node, ast.Attribute) and node.attr == "slot" for node in ast.walk(tree)):
             slot_readers.add(path.name)
+        for top in tree.body:
+            owner = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            for func in top.body if owner else [top]:
+                if isinstance(func, ast.FunctionDef):
+                    defined.add(f"{path.stem}.{owner}{func.name}")
+                    if stores(func):
+                        storers.add(f"{path.stem}.{owner}{func.name}")
     assert folders == {"lottery._compose"}
     assert "problemfile.py" not in slot_readers
+    assert storers == {"lottery.Node._from_checked"}
+    assert "lottery.Node._store" not in defined and "lottery.Node.__new__" in defined
 
 
 def test_decode_stays_apart_from_build():
