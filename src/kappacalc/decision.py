@@ -5,14 +5,14 @@ table mapping (act, state) to a prize.  Each act induces a simple lottery
 (min of the state potentials reaching each prize), acts are ranked by the
 scalar utility of that lottery, and a separate maximin ranking orders acts
 by their worst reachable prize.  The two rules genuinely disagree;
-`find_maximin_disagreement` searches small problem spaces for a witness.
+`find_maximin_disagreement` builds the first witness of a bounded search.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import add
-from collections.abc import Iterable, Iterator, Sequence
+from operator import index
+from collections.abc import Iterable, Sequence
 
 from .degrees import Degree, Frozen, INF, Signed, show
 from .disbelief import DisbeliefFunction, Frame
@@ -134,18 +134,6 @@ def _value_for_scalar(s: Signed) -> UtilityValue:
     return UtilityValue(0, s) if s >= 0 else UtilityValue(-s, 0)
 
 
-def _scored_vectors(r: int, domain: list[Degree], ups: Sequence[Degree],
-                    downs: Sequence[Degree]) -> Iterator[tuple[tuple[Degree, ...], Signed, int]]:
-    """Normalized delta vectors over r prizes with entries in `domain`, in
-    product order, each with its scalar utility and worst prize index."""
-    for vec in itertools.product(domain, repeat=r):
-        if min(vec) == 0:
-            w = r - 1
-            while vec[w] == INF:
-                w -= 1
-            yield vec, min(map(add, vec, downs)) - min(map(add, vec, ups)), w
-
-
 def _problem_from_vectors(
     r: int,
     scalars: Sequence[Signed],
@@ -177,29 +165,18 @@ def find_maximin_disagreement(max_prizes: int, max_delta: int) -> DecisionProble
     None means the space they span holds no witness.
 
     A lottery is worth at least its worst reachable prize, and exactly
-    that when it yields the prize for certain.  So below[w], the least
-    utility of a vector whose worst index is under w, is the scalar of
-    prize w - 1 (+INF for w <= 1), and a has a witness b exactly when
-    below[w_a] < u_a.  No vector qualifies with two prizes.  For each run
-    one lazy scan finds the first such a and one more its first b.
+    that when it yields it for certain, so a has a witness b exactly when
+    its utility is above the scalar of the prize before its worst.  Two
+    prizes hold none, and with three a qualifies only with its worst prize
+    at o3.  For d = max_delta >= 2 the first run (d, d - 1) makes (0, 1, 2)
+    the first such a, worth d + 1, and (0, 0, INF) the first b, worth d.
+    At d = 1 the runs (1, 0), (1, -1) and (1, -INF) hold no witness and
+    (0, -1) does, with a = (0, 1, 1); at d = 0 no run holds one.
     """
     if max_prizes < 2 or max_delta < 0:
-        raise OutOfRange(
-            f"need at least 2 prizes and a non-negative delta bound, "
-            f"got ({max_prizes}, {max_delta})"
-        )
-    for r in range(3, max_prizes + 1):  # so two prizes build nothing, whatever max_delta
-        domain = list(range(max_delta + 1)) + [INF]
-        ladder = list(range(max_delta, -max_delta - 1, -1)) + [-INF]
-        for tail in itertools.combinations(ladder, r - 1):
-            scalars = (INF,) + tail
-            below = (INF,) + scalars[:-1]
-            ups, downs = zip(*(_value_for_scalar(s).pair() for s in scalars))
-            vectors = _scored_vectors(r, domain, ups, downs)
-            a = next(((vec, u, w) for vec, u, w in vectors if below[w] < u), None)
-            if a is not None:
-                vec_a, u_a, w_a = a
-                vec_b = next(vec for vec, u, w in _scored_vectors(r, domain, ups, downs)
-                             if u < u_a and w < w_a)
-                return _problem_from_vectors(r, scalars, vec_a, vec_b)
-    return None
+        raise OutOfRange("need at least 2 prizes and a non-negative delta bound, "
+                         f"got {show((max_prizes, max_delta))}")
+    if index(max_prizes) < 3 or (d := index(max_delta)) < 1:
+        return None
+    scalars, vec_a = ((INF, d, d - 1), (0, 1, 2)) if d >= 2 else ((INF, 0, -1), (0, 1, 1))
+    return _problem_from_vectors(3, scalars, vec_a, (0, 0, INF))

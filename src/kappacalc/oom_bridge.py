@@ -185,9 +185,19 @@ def order_agreement(lottery: ProbLottery, eps: Epsilon = 10.0) -> OrderAgreement
 
 
 def agreement_bound(num_prizes: int, eps: Epsilon = 10.0) -> int:
-    """The guaranteed cap on |gap| for lotteries with this many prizes."""
+    """The guaranteed cap on |gap| for lotteries with this many prizes: k + 1
+    for the least k with eps**k >= num_prizes.  A float log within 2**-46 of
+    an integer K (125 at 5 gives 3.0000000000000004) leaves k at K or K + 1,
+    decided on integer ratios up to POWER_BITS, as in kappa_of."""
     e = _epsilon_value(eps)
     if num_prizes < 2:
-        raise OutOfRange(f"a lottery has at least 2 prizes, got {num_prizes}")
-    m = math.ceil(math.log(num_prizes) / math.log(e))  # 3.0000000000000004 for 125 at 5
-    return m if e ** (m - 1) >= num_prizes else m + 1
+        raise OutOfRange(f"a lottery has at least 2 prizes, got {show(num_prizes)}")
+    x = math.log(num_prizes) / math.log(e)
+    k = round(x)
+    if abs(x - k) > x * _FLOAT_MARGIN:
+        return math.ceil(x) + 1
+    n_e, d_e = e.as_integer_ratio()
+    if k * n_e.bit_length() > POWER_BITS:
+        raise OutOfRange(f"the agreement bound for {show(num_prizes)} prizes at base {show(e)} "
+                         f"is too costly to certify: eps**{k} passes {POWER_BITS} bits")
+    return k + 1 if n_e ** k >= num_prizes * d_e ** k else k + 2

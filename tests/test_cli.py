@@ -912,12 +912,14 @@ class TestEntryPoints:
 
     @staticmethod
     def declared_script() -> list[str]:
-        """The `[project.scripts]` target, run the way the generated script runs it."""
-        import tomllib  # Python 3.11+; only needed without an install
+        """The `[project.scripts]` target, run the way the generated script runs it.
 
-        with open(REPO / "pyproject.toml", "rb") as handle:
-            target = tomllib.load(handle)["project"]["scripts"]["kappacalc"]
-        module, func = target.split(":")
+        The entry is read from the file's text: `tomllib` needs Python 3.11,
+        and pyproject.toml declares 3.10.
+        """
+        text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+        table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        module, func = re.search(r'^kappacalc\s*=\s*"([\w.]+):(\w+)"$', table, re.M).groups()
         code = f"import sys; from {module} import {func}; sys.exit({func}())"
         return [sys.executable, "-c", code]
 

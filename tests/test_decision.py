@@ -296,6 +296,7 @@ class TestDisagreementSearch:
 
     def test_degenerate_spaces_have_none(self):
         assert find_maximin_disagreement(2, 0) is None
+        assert find_maximin_disagreement(2, 5.0) is None  # two prizes: the delta bound is not read
 
     def test_single_act_cannot_disagree(self):
         problem = earthquake_problem()
@@ -307,6 +308,11 @@ class TestDisagreementSearch:
             find_maximin_disagreement(1, 5)
         with pytest.raises(OutOfRange, match=r"got \(3, -1\)$"):
             find_maximin_disagreement(3, -1)
+        with pytest.raises(OutOfRange, match=r"got \(an int of 16610 bits, 3\)$"):
+            find_maximin_disagreement(-(10**5000), 3)
+        for bounds in [(3.0, 2), (3, 2.0), (3, float("inf"))]:
+            with pytest.raises(TypeError):
+                find_maximin_disagreement(*bounds)
 
     def test_environment_does_not_bound_the_search(self, monkeypatch):
         unset = find_maximin_disagreement(3, 5)
@@ -340,10 +346,11 @@ class TestSearchAgainstExhaustiveScan:
 
 
 class TestSearchBudget:
-    @pytest.mark.parametrize("max_prizes, max_delta", [(3, 80), (2, 100_000)])
+    @pytest.mark.parametrize("max_prizes, max_delta",
+                             [(3, 80), (2, 100_000), (3, 10**6), (3, 10**40)])
     def test_search_returns_within_a_second(self, max_prizes, max_delta):
-        # a witness sits early in the first assessment with three prizes,
-        # and two prizes need no scan at all
+        # the first witness is built directly, whatever the delta bound,
+        # and two prizes hold none
         start = time.perf_counter()
         found = find_maximin_disagreement(max_prizes, max_delta)
         elapsed = time.perf_counter() - start

@@ -253,6 +253,11 @@ class TestTimeBound:
         assert kappa_of(2.0**-200, 2) == 200
         with pytest.raises(OutOfRange, match="eps\\*\\*201 passes 400 bits"):
             kappa_of(2.0**-201, 2)
+        # agreement_bound certifies an exact power the same way
+        assert agreement_bound(2**200, 2) == 201
+        with pytest.raises(OutOfRange, match="^the agreement bound for .* is too costly "
+                                             "to certify: eps\\*\\*201 passes 400 bits$"):
+            agreement_bound(2**201, 2)
 
 
 class TestProbLottery:
@@ -450,3 +455,11 @@ class TestAgreement:
         # exact powers, where log(125) / log(5) is 3.0000000000000004
         assert agreement_bound(125, 5) == 4
         assert agreement_bound(216, 6) == 4
+        # eps**k past the float range, a float log that rounds down to 15, and
+        # a float power 5.0**24 that rounds below 5**24
+        assert agreement_bound(2**1100, 2) == 1101
+        assert agreement_bound(10**400, 10) == 401
+        assert agreement_bound(10**15 + 1) == 17
+        assert agreement_bound(5**24, 5) == 25
+        with pytest.raises(OutOfRange, match="^a lottery has at least 2 prizes, got an int of"):
+            agreement_bound(-(10**5000))
