@@ -6,9 +6,9 @@ Commands: validate, reduce, utility, rank, bridge.  Exit codes: 0 success, 1 a
 value in the file violates a calculus invariant, 2 the file cannot be read or
 parsed or the output cannot be written, 3 an internal invariant broke (a bug).
 
-Each command builds one result document with a `problemfile` emitter: `--json`
-prints it, and text mode prints lines read from its fields.  `_run` is the
-process entry of `python -m kappacalc` and of the kappacalc script.
+`_document` builds a command's result document with a `problemfile` emitter and
+returns it with a function reading its text lines, which `--json` never calls.
+`_run` is the process entry of `python -m kappacalc` and of the kappacalc script.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import io
 import sys
+from collections.abc import Callable
 
 from . import problemfile as pf
 from .decision import maximin_rank, rank_acts
@@ -32,10 +33,12 @@ def _value(doc: dict) -> str:  # a utility document, e.g. "(0, inf)  u = +inf"
     return "({}, {})  u = {}".format(*doc["value"], doc["scalar"])
 
 
-def _document(command: str, text: str, epsilon: float | None) -> dict:
-    """The result document of a command on a problem file's text."""
+def _document(command: str, text: str,
+              epsilon: float | None) -> tuple[dict, Callable[[], list[str]]]:
+    """A command's result document on a problem file's text, and its text lines on call."""
     if command == "validate":
-        return pf.emit_diagnostics(pf.validate_problem(text))
+        doc = pf.emit_diagnostics(pf.validate_problem(text))
+        return doc, lambda: doc["diagnostics"] or ["ok"]
     problem = pf.parse_problem(text)
 
     def section(name: str):
@@ -45,42 +48,31 @@ def _document(command: str, text: str, epsilon: float | None) -> dict:
         return value
 
     if command == "reduce":
-        return pf.emit_simple_lottery(section("lottery").reduce())
+        doc = pf.emit_simple_lottery(section("lottery").reduce())
+        return doc, lambda: [_pairs(doc)]
     if command == "utility":
-        return pf.emit_utility_value(evaluate(section("lottery"), section("assessment")))
+        doc = pf.emit_utility_value(evaluate(section("lottery"), section("assessment")))
+        return doc, lambda: [_value(doc)]
     if command == "rank":
         decision = section("decision")
-        return pf.emit_ranking(rank_acts(decision), maximin_rank(decision), decision.prizes)
-    prob = section("prob_lottery")
-    base = (problem.epsilon or EpsilonBase()) if epsilon is None else EpsilonBase(epsilon)
-    return pf.emit_bridge(order_agreement(prob, base))
-
-
-def _text(command: str, doc: dict) -> str:
-    """Text mode: the lines read from a command's result document."""
-    if command == "validate":
-        lines = doc["diagnostics"] or ["ok"]
-    elif command == "reduce":
-        lines = [_pairs(doc)]
-    elif command == "utility":
-        lines = [_value(doc)]
-    elif command == "rank":
-        lines = [
+        doc = pf.emit_ranking(rank_acts(decision), maximin_rank(decision), decision.prizes)
+        return doc, lambda: [
             "utility ranking:",
             *[f"  {entry['act']} {_value(entry)}" for entry in doc["utility"]],
             "maximin ranking:",
             *[f"  {entry['act']} worst {entry['worst_prize']}" for entry in doc["maximin"]],
             f"disagreement: {'yes' if doc['disagreement'] else 'no'}",
         ]
-    else:
-        lines = [
-            f"spohnian: {_pairs(doc['spohnian'])}",
-            f"eu = {doc['eu']:.6g}",
-            f"kappa(eu) = {doc['kappa_of_eu']}",
-            f"qualitative = {doc['qualitative_eu']}",
-            f"gap = {doc['gap']}",
-        ]
-    return "".join(f"{line}\n" for line in lines)
+    prob = section("prob_lottery")
+    base = (problem.epsilon or EpsilonBase()) if epsilon is None else EpsilonBase(epsilon)
+    doc = pf.emit_bridge(order_agreement(prob, base))
+    return doc, lambda: [
+        f"spohnian: {_pairs(doc['spohnian'])}",
+        f"eu = {doc['eu']:.6g}",
+        f"kappa(eu) = {doc['kappa_of_eu']}",
+        f"qualitative = {doc['qualitative_eu']}",
+        f"gap = {doc['gap']}",
+    ]
 
 
 _COMMANDS = {  # name: help; only bridge takes --epsilon
@@ -201,8 +193,8 @@ def main(argv: list[str]) -> int:
             raise ParseError(f"cannot read {file}: not valid UTF-8 at byte {e.start}") from None
         if "\r" in text:  # text mode's universal newlines, which JSON error lines count on
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        doc = _document(command, text, epsilon)
-        out = pf.dumps(doc) if json_mode else _text(command, doc)
+        doc, lines = _document(command, text, epsilon)
+        out = pf.dumps(doc) if json_mode else "".join(f"{line}\n" for line in lines())
         return _write(out) or (0 if doc.get("ok", True) else 1)  # only validate's has "ok"
     except ParseError as e:
         _warn(f"parse error: {e}")

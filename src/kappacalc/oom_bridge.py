@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable
+from operator import index
 
 from .degrees import Degree, Frozen, INF, show
 from .errors import LengthMismatch, NotNormalized, OutOfRange
@@ -190,7 +191,7 @@ def agreement_bound(num_prizes: int, eps: Epsilon = 10.0) -> int:
     an integer K (125 at 5 gives 3.0000000000000004) leaves k at K or K + 1,
     decided on integer ratios up to POWER_BITS, as in kappa_of."""
     e = _epsilon_value(eps)
-    if num_prizes < 2:
+    if index(num_prizes) < 2:
         raise OutOfRange(f"a lottery has at least 2 prizes, got {show(num_prizes)}")
     x = math.log(num_prizes) / math.log(e)
     k = round(x)

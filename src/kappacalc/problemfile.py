@@ -64,7 +64,7 @@ def _need(doc: dict, key: str, kind: type, where: str) -> object:
     if key not in doc:
         raise ParseError(f"{where}: missing required key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind):
         raise ParseError(f"{where}: {key!r} must be a {kind.__name__}")
     return value
 
@@ -181,7 +181,7 @@ def _parse_decision(section: object, assessment: PrizeAssessment | None) -> Deci
         raise ParseError("decision: expected an object")
     if assessment is None:
         raise ParseError("decision: needs an assessment section to rank against")
-    states = Frame(_string_list(_need(section, "states", list, "decision"), "decision.states"))
+    states = _string_list(_need(section, "states", list, "decision"), "decision.states")
     potential = [degree_from_json(v, "decision.belief")
                  for v in _need(section, "belief", list, "decision")]
     acts = _string_list(_need(section, "acts", list, "decision"), "decision.acts")
@@ -195,7 +195,7 @@ def _parse_decision(section: object, assessment: PrizeAssessment | None) -> Deci
     # checked in act order, since a defect of shape outranks one of value.
     rows = [outcome[act] if isinstance(outcome.get(act), list) else () for act in acts]
     try:
-        return DecisionProblem(acts, rows, DisbeliefFunction(states, potential), assessment)
+        return DecisionProblem(acts, rows, DisbeliefFunction(Frame(states), potential), assessment)
     except KappaCalcError:
         for act in acts:
             if act not in outcome:

@@ -60,6 +60,18 @@ def test_cli_output_is_unchanged(case):
     assert replay(case["args"]) == case
 
 
+def test_json_formats_no_text_line(monkeypatch):
+    def refuse(doc):
+        raise AssertionError("a --json run formatted a text line")
+
+    monkeypatch.setattr(cli, "_pairs", refuse)
+    monkeypatch.setattr(cli, "_value", refuse)
+    cases = [case for case in CASES if case["args"][2:] == ["--json"] and case["exit"] == 0]
+    assert {case["args"][0] for case in cases} == set(COMMANDS)
+    for case in cases:
+        assert replay(case["args"]) == case
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --write")

@@ -463,3 +463,9 @@ class TestAgreement:
         assert agreement_bound(5**24, 5) == 25
         with pytest.raises(OutOfRange, match="^a lottery has at least 2 prizes, got an int of"):
             agreement_bound(-(10**5000))
+        # a float count is a TypeError whatever its value; True still counts as 1
+        for args in ((1.5**1700, 1.5), (float("inf"),), (float("nan"),), (3.0,)):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                agreement_bound(*args)
+        with pytest.raises(OutOfRange, match="^a lottery has at least 2 prizes, got True$"):
+            agreement_bound(True)

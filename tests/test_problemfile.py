@@ -24,6 +24,7 @@ from kappacalc import (
 )
 from kappacalc import problemfile
 from kappacalc.errors import (
+    DuplicateLabel,
     EmptyList,
     KappaCalcError,
     NotNormalized,
@@ -137,9 +138,23 @@ class TestParsing:
         for text in bad:
             with pytest.raises(ParseError):
                 parse_problem(text)
+        decision = ('{"prizes": ["o1", "o2"], "assessment": {"o1": [0, "inf"], "o2": ["inf", 0]},'
+                    ' "decision": {"states": %s, "belief": %s, "acts": %s, "outcome": %s}}')
+        prob = '{"prizes": ["o1", "o2"], "prob_lottery": {"probs": %s, "utils": %s}}'
         for text, message in [
             ('{"prizes": ["o1", "o2"], "prob_lottery": [0.5, 0.5]}',
              "prob_lottery: expected an object"),
+            # one row for each key _need reads, with a value of the wrong kind
+            ('{"prizes": 5}', "document: 'prizes' must be a list"),
+            (decision % ("5", "[0]", '["A"]', '{"A": ["o1"]}'),
+             "decision: 'states' must be a list"),
+            (decision % ('["s"]', "5", '["A"]', '{"A": ["o1"]}'),
+             "decision: 'belief' must be a list"),
+            (decision % ('["s"]', "[0]", '"A"', '{"A": ["o1"]}'),
+             "decision: 'acts' must be a list"),
+            (decision % ('["s"]', "[0]", '["A"]', "5"), "decision: 'outcome' must be a dict"),
+            (prob % ("5", "[1, 0]"), "prob_lottery: 'probs' must be a list"),
+            (prob % ("[0.5, 0.5]", "5"), "prob_lottery: 'utils' must be a list"),
             ('{"lottery": "o1"}', "document: missing required key 'prizes'"),
             ('{"prizes": ["o1", "o2"], "prob_lottery": {"probs": [0.5, "0.5"], "utils": [1, 0]}}',
              "prob_lottery.probs: expected a number, got '0.5'"),
@@ -164,44 +179,53 @@ class TestParsing:
         with pytest.raises(ParseError, match="entries for"):
             parse_problem(base % '{"A": ["o1"]}')
 
-    @pytest.mark.parametrize("acts, belief, outcome, error, message", [
-        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": ["o1", 7]}', ParseError,
+    TWO = '["s1", "s2"]'  # the states of every row but the last three
+
+    @pytest.mark.parametrize("states, acts, belief, outcome, error, message", [
+        (TWO, '["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": ["o1", 7]}', ParseError,
          "decision.outcome['B']: expected a list of strings"),
-        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": "o1"}', ParseError,
+        (TWO, '["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": "o1"}', ParseError,
          "decision.outcome['B']: expected a list of strings"),
-        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": ["o1", "o2"]}', UnknownPrize,
+        (TWO, '["A", "B"]', "[0, 0]", '{"A": ["o1", "zz"], "B": ["o1", "o2"]}', UnknownPrize,
          "prize 'zz' is not in the prize set"),
-        ('["A", "B"]', "[0, 0]", '{"A": null, "B": ["o1", "o2"]}', ParseError,
+        (TWO, '["A", "B"]', "[0, 0]", '{"A": null, "B": ["o1", "o2"]}', ParseError,
          "decision.outcome['A']: expected a list of strings"),
-        ('["A", "B"]', "[0, 0]", '{"B": ["o1", "o2"]}', ParseError,
+        (TWO, '["A", "B"]', "[0, 0]", '{"B": ["o1", "o2"]}', ParseError,
          "decision.outcome: no row for act 'A'"),
-        ('["A", "B"]', "[0, 0]", '{"A": ["o1", null], "B": ["o1"]}', ParseError,
+        (TWO, '["A", "B"]', "[0, 0]", '{"A": ["o1", null], "B": ["o1"]}', ParseError,
          "decision.outcome['A']: expected a list of strings"),
-        ('["A", "B"]', "[0, 0]", '{"A": ["o1"], "B": ["o1", null]}', ParseError,
+        (TWO, '["A", "B"]', "[0, 0]", '{"A": ["o1"], "B": ["o1", null]}', ParseError,
          "decision.outcome['A']: 1 entries for 2 states"),
-        ('["A", "B"]', "[1, 2]", '{"A": ["o1", "o2"], "B": [true, "o2"]}', ParseError,
+        (TWO, '["A", "B"]', "[1, 2]", '{"A": ["o1", "o2"], "B": [true, "o2"]}', ParseError,
          "decision.outcome['B']: expected a list of strings"),
-        ('["A", "B"]', "[1, 2]", '{"A": ["o1", "o2"], "B": ["o2", "o2"]}', NotNormalized,
+        (TWO, '["A", "B"]', "[1, 2]", '{"A": ["o1", "o2"], "B": ["o2", "o2"]}', NotNormalized,
          "S1 violated: minimum degree is 1, expected 0"),
-        ('["A", "A"]', "[0, 0]", '{"A": {"o1": 0, "o2": 1}}', ParseError,
+        (TWO, '["A", "A"]', "[0, 0]", '{"A": {"o1": 0, "o2": 1}}', ParseError,
          "decision.outcome['A']: expected a list of strings"),
-        ('["A"]', "[0, 0]", '{"A": {"o1": 0, "o2": 1}}', ParseError,
+        (TWO, '["A"]', "[0, 0]", '{"A": {"o1": 0, "o2": 1}}', ParseError,
          "decision.outcome['A']: expected a list of strings"),
-        ("[]", "[0, 0]", "{}", EmptyList, "a decision problem needs at least one act"),
-        ('["A", "B"]', "[0, 0]", '{"A": ["o1", "o2"], "B": ["o1", ["o2"]]}', ParseError,
+        (TWO, "[]", "[0, 0]", "{}", EmptyList, "a decision problem needs at least one act"),
+        (TWO, '["A", "B"]', "[0, 0]", '{"A": ["o1", "o2"], "B": ["o1", ["o2"]]}', ParseError,
          "decision.outcome['B']: expected a list of strings"),
+        ('["s1", "s1"]', '["A"]', "[0, 0]", '{"A": 5}', ParseError,
+         "decision.outcome['A']: expected a list of strings"),
+        ('["s1", "s1"]', '["A"]', "[0, 0]", '{"A": ["o1", "o2"]}', DuplicateLabel,
+         "frame labels repeat: ('s1', 's1')"),
+        ("[]", '["A"]', "[]", '{"A": ["o1"]}', ParseError,
+         "decision.outcome['A']: 1 entries for 0 states"),
     ], ids=["bad-prize-then-non-string", "bad-prize-then-non-list", "bad-prize",
             "null-row", "missing-row", "non-string-then-short", "short-then-non-string",
             "unnormalized-and-non-string", "unnormalized", "duplicate-acts-and-dict-row",
-            "dict-row", "no-acts", "unhashable-label"])
+            "dict-row", "no-acts", "unhashable-label", "duplicate-states-and-non-list",
+            "duplicate-states", "no-states-and-long-row"])
     def test_decision_defects_are_reported_in_precedence_order(
-            self, acts, belief, outcome, error, message):
+            self, states, acts, belief, outcome, error, message):
         # rows in act order, each for presence, type, labels' type, then length,
-        # all before any calculus error of the belief or the table
+        # all before any calculus error of the states, the belief or the table
         text = (
             '{"prizes": ["o1", "o2"],'
             ' "assessment": {"o1": [0, "inf"], "o2": ["inf", 0]},'
-            f' "decision": {{"states": ["s1", "s2"], "belief": {belief}, "acts": {acts},'
+            f' "decision": {{"states": {states}, "belief": {belief}, "acts": {acts},'
             f' "outcome": {outcome}}}}}'
         )
         with pytest.raises(error) as caught:
