@@ -135,19 +135,18 @@ def _value_for_scalar(s: Signed) -> UtilityValue:
 
 
 def _problem_from_vectors(
-    r: int,
     scalars: Sequence[Signed],
     vec_a: tuple[Degree, ...],
     vec_b: tuple[Degree, ...],
 ) -> DecisionProblem:
     """Package two delta vectors as an explicit two-act problem.
 
-    States form an r x r product grid s_ij with potential a_i + b_j, so
-    act A's row recovers vector a and act B's recovers b after the min.
+    States s_ij form the grid of prize index pairs with potential a_i + b_j,
+    so act A's row recovers vector a and act B's recovers b after the min.
     """
-    prizes = PrizeSet(tuple(f"o{i + 1}" for i in range(r)))
+    prizes = PrizeSet(tuple(f"o{i + 1}" for i in range(len(scalars))))
     assessment = PrizeAssessment(prizes, tuple(_value_for_scalar(s) for s in scalars))
-    grid = list(itertools.product(range(r), repeat=2))  # (i, j) for each state s_ij
+    grid = list(itertools.product(range(len(scalars)), repeat=2))  # (i, j) for each state s_ij
     belief = DisbeliefFunction(Frame([f"s{i + 1}{j + 1}" for i, j in grid]),
                                [vec_a[i] + vec_b[j] for i, j in grid])
     rows = ([prizes.prizes[i] for i, _ in grid], [prizes.prizes[j] for _, j in grid])
@@ -179,4 +178,4 @@ def find_maximin_disagreement(max_prizes: int, max_delta: int) -> DecisionProble
     if index(max_prizes) < 3 or (d := index(max_delta)) < 1:
         return None
     scalars, vec_a = ((INF, d, d - 1), (0, 1, 2)) if d >= 2 else ((INF, 0, -1), (0, 1, 1))
-    return _problem_from_vectors(3, scalars, vec_a, (0, 0, INF))
+    return _problem_from_vectors(scalars, vec_a, (0, 0, INF))

@@ -215,13 +215,7 @@ def _parse_prob_lottery(section: object, prizes: PrizeSet) -> tuple[ProbLottery,
     utils = _real_list(_need(section, "utils", list, "prob_lottery"), "prob_lottery.utils")
     epsilon = None
     if "epsilon" in section:
-        raw = section["epsilon"]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ParseError("prob_lottery.epsilon: expected a number")
-        try:
-            epsilon = EpsilonBase(float(raw))
-        except OverflowError:
-            raise ParseError("prob_lottery.epsilon: integer too large for a float") from None
+        epsilon = EpsilonBase(*_real_list([section["epsilon"]], "prob_lottery.epsilon"))
     return ProbLottery(prizes, probs, utils), epsilon
 
 

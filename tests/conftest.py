@@ -95,7 +95,3 @@ def random_potential(rng: random.Random, size: int = None, max_degree: int = 10)
     frame = Frame(tuple(f"w{i + 1}" for i in range(size)))
     values = random_deltas(rng, size, max_degree)
     return DisbeliefFunction(frame, tuple(values))
-
-
-def random_event(rng: random.Random, frame: Frame) -> tuple:
-    return tuple(w for w in frame if rng.random() < 0.5)

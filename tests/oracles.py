@@ -148,5 +148,5 @@ def scan_disagreement(max_prizes: int, max_delta: int):
             for ia, vec_a in enumerate(vectors):
                 for ib, vec_b in enumerate(vectors):
                     if utilities[ia] > utilities[ib] and worsts[ia] > worsts[ib]:
-                        return _problem_from_vectors(r, scalars, vec_a, vec_b)
+                        return _problem_from_vectors(scalars, vec_a, vec_b)
     return None

@@ -79,9 +79,10 @@ class TestParsing:
             assert validate_problem(doc % raw) == [
                 f"prob_lottery: OutOfRange: epsilon must be finite and > 1, got {shown}"
             ]
-        for raw in ('"10"', "true", "null", "[2]"):
-            with pytest.raises(ParseError, match="epsilon: expected a number"):
+        for raw, shown in (('"10"', "'10'"), ("true", "True"), ("null", "None"), ("[2]", "[2]")):
+            with pytest.raises(ParseError) as refused:
                 parse_problem(doc % raw)
+            assert str(refused.value) == f"prob_lottery.epsilon: expected a number, got {shown}"
 
     def test_integer_too_large_for_a_float_names_its_field(self):
         doc = ('{"prizes": ["a", "b"], "prob_lottery":'

@@ -95,6 +95,17 @@ def test_one_min_plus_fold():
     assert "lottery.Node._store" not in defined and "lottery.Node.__new__" in defined
 
 
+def test_one_real_reader():
+    # problemfile reads every real of a document, the bridge base included,
+    # through _real_list, so only it converts to float (a read of
+    # float.__repr__ is no call on the name float)
+    tree = ast.parse((REPO / "src" / "kappacalc" / "problemfile.py").read_text(encoding="utf-8"))
+    callers = {getattr(top, "name", "<module>") for top in tree.body
+               if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                      and n.func.id == "float" for n in ast.walk(top))}
+    assert callers == {"_real_list"}
+
+
 def test_decode_stays_apart_from_build():
     # parse_problem and validate_problem decode, and _build_problem builds from
     # the decoded document, so the two layers can be timed apart (ROADMAP D1)
