@@ -10,11 +10,10 @@ by their worst reachable prize.  The two rules genuinely disagree;
 
 from __future__ import annotations
 
-import itertools
 from operator import index
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .degrees import Degree, Frozen, INF, Signed, show
+from .degrees import Frozen, INF, show
 from .disbelief import DisbeliefFunction, Frame
 from .errors import DuplicateLabel, EmptyList, OutOfRange, UnknownAct, UnknownWorld
 from .lottery import PrizeSet, SimpleLottery
@@ -130,29 +129,6 @@ def maximin_rank(problem: DecisionProblem) -> list[tuple[str, int]]:
     return ranked
 
 
-def _value_for_scalar(s: Signed) -> UtilityValue:
-    return UtilityValue(0, s) if s >= 0 else UtilityValue(-s, 0)
-
-
-def _problem_from_vectors(
-    scalars: Sequence[Signed],
-    vec_a: tuple[Degree, ...],
-    vec_b: tuple[Degree, ...],
-) -> DecisionProblem:
-    """Package two delta vectors as an explicit two-act problem.
-
-    States s_ij form the grid of prize index pairs with potential a_i + b_j,
-    so act A's row recovers vector a and act B's recovers b after the min.
-    """
-    prizes = PrizeSet(tuple(f"o{i + 1}" for i in range(len(scalars))))
-    assessment = PrizeAssessment(prizes, tuple(_value_for_scalar(s) for s in scalars))
-    grid = list(itertools.product(range(len(scalars)), repeat=2))  # (i, j) for each state s_ij
-    belief = DisbeliefFunction(Frame([f"s{i + 1}{j + 1}" for i, j in grid]),
-                               [vec_a[i] + vec_b[j] for i, j in grid])
-    rows = ([prizes.prizes[i] for i, _ in grid], [prizes.prizes[j] for _, j in grid])
-    return DecisionProblem(("A", "B"), rows, belief, assessment)
-
-
 def find_maximin_disagreement(max_prizes: int, max_delta: int) -> DecisionProblem | None:
     """Search two-act problems for a qualitative-vs-maximin disagreement.
 
@@ -177,5 +153,11 @@ def find_maximin_disagreement(max_prizes: int, max_delta: int) -> DecisionProble
                          f"got {show((max_prizes, max_delta))}")
     if index(max_prizes) < 3 or (d := index(max_delta)) < 1:
         return None
-    scalars, vec_a = ((INF, d, d - 1), (0, 1, 2)) if d >= 2 else ((INF, 0, -1), (0, 1, 1))
-    return _problem_from_vectors(scalars, vec_a, (0, 0, INF))
+    a, values = ((0, 1, 2), [(0, d), (0, d - 1)]) if d >= 2 else ((0, 1, 1), [(0, 0), (1, 0)])
+    grid = [(i, j) for i in range(3) for j in range(3)]  # state s_ij has potential a_i + b_j
+    belief = DisbeliefFunction(Frame([f"s{i + 1}{j + 1}" for i, j in grid]),
+                               [a[i] + (0, 0, INF)[j] for i, j in grid])
+    assessment = PrizeAssessment(PrizeSet(("o1", "o2", "o3")),
+                                 [UtilityValue(*v) for v in [(0, INF), *values]])
+    rows = ([f"o{i + 1}" for i, _ in grid], [f"o{j + 1}" for _, j in grid])
+    return DecisionProblem(("A", "B"), rows, belief, assessment)

@@ -8,14 +8,16 @@ never touching a logarithm, an act's lottery is a plain min over its row,
 the utility order is the standard-lottery case analysis rather than a
 subtraction, conditioning subtracts the event's degree member by member
 instead of renormalizing, and the disagreement search compares every pair
-of candidate acts.
+of candidate acts and builds its witness problem itself.  Only public names
+are imported from kappacalc.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from kappacalc import INF, Degree, Leaf, SimpleLottery, UtilityValue
+from kappacalc import (INF, DecisionProblem, Degree, DisbeliefFunction, Frame, Leaf,
+                       PrizeAssessment, PrizeSet, SimpleLottery, UtilityValue)
 
 
 def _paths(lottery, acc=0):
@@ -119,6 +121,20 @@ def scan_act_lottery(problem, act) -> SimpleLottery:
     return SimpleLottery(problem.prizes, tuple(low[p] for p in problem.prizes))
 
 
+def grid_problem(values, vec_a, vec_b) -> DecisionProblem:
+    """Two acts over the grid of prize index pairs: state s_ij has potential
+    a_i + b_j, act A yields o_i there and act B yields o_j, so after the min
+    A's lottery is vec_a and B's is vec_b.  `values` holds each prize's
+    (toward_best, toward_worst) pair, best first."""
+    grid = list(product(range(len(values)), repeat=2))
+    belief = DisbeliefFunction(Frame([f"s{i + 1}{j + 1}" for i, j in grid]),
+                               [vec_a[i] + vec_b[j] for i, j in grid])
+    prizes = PrizeSet([f"o{i + 1}" for i in range(len(values))])
+    rows = ([f"o{i + 1}" for i, _ in grid], [f"o{j + 1}" for _, j in grid])
+    assessment = PrizeAssessment(prizes, [UtilityValue(*v) for v in values])
+    return DecisionProblem(("A", "B"), rows, belief, assessment)
+
+
 def scan_disagreement(max_prizes: int, max_delta: int):
     """The maximin-disagreement search by comparing every ordered pair.
 
@@ -129,8 +145,6 @@ def scan_disagreement(max_prizes: int, max_delta: int):
     normalized delta vectors in row-major order.  Returns the first witness
     problem, or None.
     """
-    from kappacalc.decision import _problem_from_vectors
-
     for r in range(2, max_prizes + 1):
         domain = list(range(max_delta + 1)) + [INF]
         vectors = [v for v in product(domain, repeat=r) if min(v) == 0]
@@ -148,5 +162,5 @@ def scan_disagreement(max_prizes: int, max_delta: int):
             for ia, vec_a in enumerate(vectors):
                 for ib, vec_b in enumerate(vectors):
                     if utilities[ia] > utilities[ib] and worsts[ia] > worsts[ib]:
-                        return _problem_from_vectors(scalars, vec_a, vec_b)
+                        return grid_problem(values, vec_a, vec_b)
     return None

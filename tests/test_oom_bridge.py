@@ -396,6 +396,18 @@ class TestAgreement:
         assert report.gap == -1
         assert abs(report.gap) <= agreement_bound(3, 2)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP P: the rounded float sum 0.1000000000001 "
+                       "is classed, not the exact expected utility")
+    def test_exact_expected_utility_is_classed(self):
+        # the exact sum lies above 0.1 * (1 + 1e-12), so its class is 0; the
+        # float sum rounds onto the snap band and lands in class 1
+        probs = (0.0, 0.10516174491940453, 0.8948382550805955)
+        utils = (1.0, 0.9509161347288364, 0.0)
+        exact = sum(Fraction(p) * Fraction(u) for p, u in zip(probs, utils))
+        assert scan_kappa(exact, Fraction(10)) == 0
+        report = order_agreement(ProbLottery(O3, probs, utils), 10)
+        assert (report.kappa_of_eu, report.gap) == (0, 0)
+
     def test_bound_holds_on_random_lotteries(self, rng):
         for _ in range(2000):
             r = rng.randint(2, 6)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import kappacalc
 from kappacalc import cli
 
 from conftest import PROBLEMS, REPO
@@ -126,6 +127,22 @@ def test_no_source_imports_dataclasses():
     # the value classes are plain slotted classes; importing dataclasses costs
     # every CLI process about 25 ms
     assert importers("dataclasses") == []
+
+
+def test_oracles_import_only_public_names():
+    # the oracles are checked against the library, so they build what they
+    # compare from public names alone, never from the code under test
+    imports = []
+    for node in ast.walk(ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imports += [a.name for a in node.names if a.name.split(".")[0] == "kappacalc"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kappacalc":
+            imports += [f"{node.module}.{a.name}" for a in node.names]
+    assert imports, "oracles.py imports nothing from kappacalc"
+    private = [name for name in imports
+               if name.rpartition(".")[0] != "kappacalc"
+               or name.rpartition(".")[2] not in kappacalc.__all__]
+    assert private == []
 
 
 def test_only_the_cli_touches_the_garbage_collector():
